@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -199,6 +200,23 @@ def outcome_grid(
     return Grid(center - halfspan, center + halfspan, n)
 
 
+def _kernel_blocks(
+    signal: WaveFunction, probe: WaveFunction, phi: float, out_grid: Grid
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """K(x0, y) = psi_p(tan(phi) (y - x0)) on out_grid x the signal grid, as (rows, K[rows]).
+
+    Each block of outcome rows holds at most 2^20 entries.  Callers `del` a
+    block before taking the next, so that only one block is alive at a time.
+    """
+    t = math.tan(phi)
+    p_eval = amplitude_interpolator(probe)
+    y = signal.grid.points
+    block = max(1, 2**20 // signal.grid.n_points)
+    for start in range(0, out_grid.n_points, block):
+        rows = slice(start, start + block)
+        yield rows, p_eval(t * (y[None, :] - out_grid.points[rows, None]))
+
+
 def homodyne_distribution(
     signal: WaveFunction,
     probe: WaveFunction,
@@ -220,24 +238,27 @@ def homodyne_distribution(
             f"outcome grid [{out_grid.x_min}, {out_grid.x_max}] must cover mean +/- "
             f"{OUTCOME_SPAN_SIGMAS} combined sigma, i.e. [{required.x_min}, {required.x_max}]"
         )
-    p_eval = amplitude_interpolator(probe)
-    y = signal.grid.points
     signal_mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
     out = np.empty(out_grid.n_points)
-    block = max(1, 2**20 // signal.grid.n_points)  # bound the scratch matrix size
-    for start in range(0, out_grid.n_points, block):
-        x0 = out_grid.points[start : start + block]
-        filt = np.abs(p_eval(t * (y[None, :] - x0[:, None]))) ** 2
-        out[start : start + block] = t * (filt @ signal_mass)
+    for rows, k in _kernel_blocks(signal, probe, phi, out_grid):
+        out[rows] = t * (np.abs(k) ** 2 @ signal_mass)
+        del k
     return Distribution.normalized(out_grid, out)
 
 
-def _outcome_density_at(signal: WaveFunction, probe: WaveFunction, phi: float, x0: float) -> float:
+def _filtered_outcome(
+    signal: WaveFunction, probe: WaveFunction, phi: float, x0: float
+) -> np.ndarray:
+    """Unnormalized psi_s(y) K(x0, y) on the signal grid; raises if p(x0) is null."""
     t = math.tan(phi)
     p_eval = amplitude_interpolator(probe)
-    filt = np.abs(p_eval(t * (signal.grid.points - x0))) ** 2
-    mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
-    return t * float(filt @ mass)
+    vals = signal.amplitudes * p_eval(t * (signal.grid.points - x0))
+    p_x0 = t * float(signal.grid.weights @ np.abs(vals) ** 2)
+    if p_x0 <= NULL_OUTCOME_DENSITY:
+        raise NullOutcomeError(
+            f"outcome density p(x0)={p_x0:.3e} at x0={x0} is below {NULL_OUTCOME_DENSITY}"
+        )
+    return vals
 
 
 def conditional_state_raw(
@@ -253,11 +274,7 @@ def conditional_state_raw(
     renormalized on the target grid (the signal grid unless one is given).
     """
     check_phase(phi)
-    p_x0 = _outcome_density_at(signal, probe, phi, x0)
-    if p_x0 <= NULL_OUTCOME_DENSITY:
-        raise NullOutcomeError(
-            f"outcome density p(x0)={p_x0:.3e} at x0={x0} is below {NULL_OUTCOME_DENSITY}"
-        )
+    _filtered_outcome(signal, probe, phi, x0)
     c, s = math.cos(phi), math.sin(phi)
     grid = out_grid or signal.grid
     y = grid.points
@@ -310,15 +327,7 @@ def conditional_output(
     and lives on the signal grid.
     """
     check_phase(phi)
-    t = math.tan(phi)
-    p_eval = amplitude_interpolator(probe)
-    vals = signal.amplitudes * p_eval(t * (signal.grid.points - x0))
-    p_x0 = t * float(signal.grid.weights @ np.abs(vals) ** 2)
-    if p_x0 <= NULL_OUTCOME_DENSITY:
-        raise NullOutcomeError(
-            f"outcome density p(x0)={p_x0:.3e} at x0={x0} is below {NULL_OUTCOME_DENSITY}"
-        )
-    return WaveFunction.normalized(signal.grid, vals)
+    return WaveFunction.normalized(signal.grid, _filtered_outcome(signal, probe, phi, x0))
 
 
 def sample_outcomes(dist: Distribution, count: int, seed: int) -> np.ndarray:

@@ -9,19 +9,15 @@ Exit codes are a stable contract for scripting:
 All numeric files are locale-independent: decimal points, fixed column
 order, LF line endings, 17 significant digits.  Every run writes a
 ``manifest.json`` listing the produced files.  Identical flags, seed and
-tool version reproduce identical numeric outputs; the environment variable
-``QND_SIM_THREADS`` caps sweep parallelism (0 = auto) without changing any
-result.
+tool version reproduce identical numeric outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -118,19 +114,6 @@ def _signal_arg(text: str) -> tuple[str, object]:
         return "spec", parse_state_spec(text)
     except InvalidParameterError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("QND_SIM_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidParameterError(f"QND_SIM_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise InvalidParameterError(f"QND_SIM_THREADS must be >= 0, got {value}")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +284,6 @@ def cmd_chain(args: argparse.Namespace) -> int:
 # sweep
 
 
-def _numeric_pair(task: tuple[WaveFunction, float, float, int, int]) -> tuple[float, float]:
-    signal, phi, variance, n_outcomes, grid_n = task
-    probe = _build_probe(variance, grid_n)
-    return (
-        state_fidelity(signal, probe, phi, n_outcomes=n_outcomes),
-        distribution_fidelity(signal, probe, phi, n_outcomes=n_outcomes),
-    )
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
     if not 0 < args.x_min < args.x_max:
@@ -325,20 +299,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         signal, _, _ = _load_signal(args.signal, policy)
         sigma_s = math.sqrt(signal.variance())
         t = math.tan(args.phi)
-        tasks = [
-            (signal, args.phi, (float(x) * sigma_s * t) ** 2, args.outcome_nodes, args.grid_n)
-            for x in xs
-        ]
-        workers = _thread_cap()
-        if workers > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_numeric_pair, tasks))  # order-preserving
-        else:
-            results = [_numeric_pair(task) for task in tasks]
-        pairs = [
-            FidelityPair(F=f_val, G=g_val, x=float(x))
-            for x, (f_val, g_val) in zip(xs, results)
-        ]
+        pairs = []
+        for x in xs:
+            probe = _build_probe((float(x) * sigma_s * t) ** 2, args.grid_n)
+            f_val = state_fidelity(signal, probe, args.phi, n_outcomes=args.outcome_nodes)
+            g_val = distribution_fidelity(signal, probe, args.phi, n_outcomes=args.outcome_nodes)
+            pairs.append(FidelityPair(F=f_val, G=g_val, x=float(x)))
 
     f_col = np.array([p.F for p in pairs])
     g_col = np.array([p.G for p in pairs])

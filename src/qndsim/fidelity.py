@@ -10,6 +10,18 @@ Two global fidelities are tracked:
 
 For Gaussian signal and probe both collapse to closed forms in the single
 ratio x = sigma_p / (sigma_s tan phi).
+
+Everything resolved by outcome comes from one kernel over outcomes x0 and
+signal points y, K(x0, y) = psi_p(tan phi (y - x0)), with t = tan phi, w
+the quadrature weights and m = |psi_s|^2 w the signal mass:
+
+  outcome density   p(x0) = t sum_y |K(x0, y)|^2 m(y),   Z = int p dx0
+  state fidelity    p(x0) |<psi_s|psi_x0>|^2 = t |A(x0)|^2,   A = sum_y K m,
+                    so F = int t |A|^2 dx0 / Z
+  output ensemble   rho(x, x') = psi_s(x) psi_s*(x') (t / Z) int K(x0, x) K*(x0, x') dx0
+
+K is built in blocks of outcomes (`chain._kernel_blocks`).  Outcomes whose
+normalized density is at most NULL_OUTCOME_DENSITY are left out of F and rho.
 """
 
 from __future__ import annotations
@@ -18,16 +30,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 
 from .chain import (
     NULL_OUTCOME_DENSITY,
+    _kernel_blocks,
     check_phase,
-    conditional_output,
     homodyne_distribution,
     outcome_grid,
 )
 from .errors import GridMismatchError, InvalidParameterError, ResourceLimitError
-from .grids import Grid, WaveFunction, amplitude_interpolator, overlap
+from .grids import Distribution, Grid, WaveFunction, amplitude_interpolator
 
 OUTCOME_NODES = 1024
 ENSEMBLE_POINT_CAP = 4096
@@ -54,6 +67,23 @@ def _clamp_unit(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def _outcome_weights(
+    signal: WaveFunction, probe: WaveFunction, phi: float, ogrid: Grid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weight t w / Z of each outcome (0 where its density is null) and A(x0), in one pass."""
+    t = math.tan(phi)
+    mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
+    p_raw = np.empty(ogrid.n_points)
+    amp = np.empty(ogrid.n_points, dtype=np.complex128)
+    for rows, k in _kernel_blocks(signal, probe, phi, ogrid):
+        p_raw[rows] = t * (np.abs(k) ** 2 @ mass)
+        amp[rows] = k @ mass
+        del k
+    density = Distribution.normalized(ogrid, p_raw).density
+    z = float(ogrid.weights @ p_raw)
+    return np.where(density > NULL_OUTCOME_DENSITY, t * ogrid.weights / z, 0.0), amp
+
+
 def state_fidelity(
     signal: WaveFunction,
     probe: WaveFunction,
@@ -68,14 +98,8 @@ def state_fidelity(
     """
     check_phase(phi)
     ogrid = outcome_grid(signal, probe, phi, n_points=n_outcomes)
-    p = homodyne_distribution(signal, probe, phi, out_grid=ogrid)
-    acc = 0.0
-    for x0, w, dens in zip(ogrid.points, ogrid.weights, p.density):
-        if dens <= NULL_OUTCOME_DENSITY:
-            continue
-        psi = conditional_output(signal, probe, phi, float(x0))
-        acc += w * dens * abs(overlap(signal, psi)) ** 2
-    return _clamp_unit(acc)
+    weight, amp = _outcome_weights(signal, probe, phi, ogrid)
+    return _clamp_unit(float(weight @ np.abs(amp) ** 2))
 
 
 def distribution_fidelity(
@@ -177,15 +201,12 @@ def output_ensemble(
             "(memory grows quadratically)"
         )
     ogrid = outcome_grid(signal, probe, phi, n_points=n_outcomes)
-    p = homodyne_distribution(signal, probe, phi, out_grid=ogrid)
-    columns = []
-    masses = []
-    for x0, w, dens in zip(ogrid.points, ogrid.weights, p.density):
-        if dens <= NULL_OUTCOME_DENSITY:
-            continue
-        columns.append(conditional_output(signal, probe, phi, float(x0)).amplitudes)
-        masses.append(w * dens)
-    states = np.stack(columns, axis=1)
-    mass = np.asarray(masses)
-    matrix = (states * mass) @ states.conj().T
+    weight, _ = _outcome_weights(signal, probe, phi, ogrid)
+    matrix = np.zeros((n, n), dtype=np.complex128, order="F")
+    for rows, k in _kernel_blocks(signal, probe, phi, ogrid):
+        k *= signal.amplitudes
+        k *= np.sqrt(weight[rows])[:, None]  # row x0: sqrt(t w / Z) psi_s(x) K(x0, x)
+        # rho += k^T conj(k), accumulated in place: no n x n temporary per block
+        matrix = zgemm(1.0, k.T, k.T, beta=1.0, c=matrix, trans_b=2, overwrite_c=True)
+        del k
     return DensityMatrixGrid(signal.grid, matrix)

@@ -71,8 +71,11 @@ def maximize_trade_off(
     """
     if not lo < hi:
         raise BracketError(f"invalid bracket [{lo}, {hi}]: need lo < hi")
-    if not tol > 0:
-        raise InvalidParameterError(f"tolerance must be positive, got {tol}")
+    resolvable = 64.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    if not tol >= resolvable:
+        raise InvalidParameterError(
+            f"tolerance {tol} is below {resolvable:.3g}, the float resolution on [{lo}, {hi}]"
+        )
     xs = np.linspace(lo, hi, COARSE_SCAN_POINTS)
     vals = np.array([objective(float(x)) for x in xs], dtype=np.float64)
     if not np.all(np.isfinite(vals)):
@@ -125,7 +128,7 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> f
             a, f_a = mid, f_mid
         else:
             b = mid
-    return 0.5 * (a + b)
+    raise InvalidParameterError(f"bisection did not reach |f| < {tol} in {MAX_BISECTIONS} steps")
 
 
 def equal_fidelity_point(lo: float, hi: float, tol: float) -> float:

@@ -145,7 +145,7 @@ def test_homodyne_cat_signal_analytic_convolution():
     probe = build(VACUUM, q.auto_grid([VACUUM]))
     p = q.homodyne_distribution(cat, probe, QUARTER_PI)
     blur = 0.25  # vacuum probe, tan(pi/4) = 1
-    cross = 2.0 * math.exp(-(sep**2) / v)
+    cross = 2.0 * math.exp(-(sep**2) / (2.0 * v))
     mix = (
         gaussian_density(p.grid.points, sep, v + blur)
         + gaussian_density(p.grid.points, -sep, v + blur)

@@ -149,15 +149,13 @@ def test_sweep_numeric_matches_closed(tmp_path):
     assert np.abs(closed_rows[:, 2] - numeric_rows[:, 2]).max() < 1e-3
 
 
-def test_sweep_thread_cap_does_not_change_bytes(tmp_path, monkeypatch):
+def test_numeric_sweep_repeats_byte_for_byte(tmp_path):
     flags = ["sweep", "--x-min", "0.5", "--x-max", "2.0", "--steps", "4",
              "--mode", "numeric", "--grid-n", "512", "--outcome-nodes", "256"]
-    serial, threaded = tmp_path / "serial", tmp_path / "threaded"
-    monkeypatch.setenv("QND_SIM_THREADS", "1")
-    assert main([*flags, "--out", str(serial)]) == 0
-    monkeypatch.setenv("QND_SIM_THREADS", "2")
-    assert main([*flags, "--out", str(threaded)]) == 0
-    assert (serial / "sweep.csv").read_bytes() == (threaded / "sweep.csv").read_bytes()
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([*flags, "--out", str(first)]) == 0
+    assert main([*flags, "--out", str(second)]) == 0
+    assert (first / "sweep.csv").read_bytes() == (second / "sweep.csv").read_bytes()
 
 
 def test_optimize_closed_report(tmp_path):
@@ -173,6 +171,13 @@ def test_optimize_closed_report(tmp_path):
     assert abs(report["F_at_xe"] - 0.88) < 0.01
     expected_phi = math.atan(0.6 / (0.5 * report["x_m"]))
     assert report["tuned_phase"] == pytest.approx(expected_phi, abs=1e-12)
+
+
+def test_optimize_unresolvable_tolerance_exits_3(tmp_path, capsys):
+    code = main(["optimize", "--mode", "closed", "--tol", "1e-20",
+                 "--out", str(tmp_path / "tiny")])
+    assert code == 3
+    assert "tolerance" in capsys.readouterr().err
 
 
 @pytest.mark.slow

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qndsim as q
+from qndsim.chain import NULL_OUTCOME_DENSITY
 from qndsim.errors import InvalidParameterError, ResourceLimitError
 
 VACUUM = q.GaussianSpec(0.0, 0.25)
@@ -219,6 +220,34 @@ def test_closed_forms_stay_in_unit_interval(x):
 @settings(max_examples=40, deadline=None)
 def test_state_fidelity_closed_form_increasing(x, bump):
     assert q.gaussian_state_fidelity(x + bump) > q.gaussian_state_fidelity(x)
+
+
+def per_outcome_state_fidelity(signal, probe, phi, n_outcomes):
+    """F as a sum over outcomes of p(x0) |<psi_s|psi_x0>|^2, one state at a time."""
+    ogrid = q.outcome_grid(signal, probe, phi, n_points=n_outcomes)
+    p = q.homodyne_distribution(signal, probe, phi, out_grid=ogrid)
+    total = 0.0
+    for x0, w, dens in zip(ogrid.points, ogrid.weights, p.density):
+        if dens > NULL_OUTCOME_DENSITY:
+            psi = q.conditional_output(signal, probe, phi, float(x0))
+            total += w * dens * abs(q.overlap(signal, psi)) ** 2
+    return total
+
+
+@given(
+    separation=st.floats(0.0, 2.5),
+    component_variance=st.floats(0.05, 0.5),
+    phi=st.floats(0.2, 1.35),
+)
+@settings(max_examples=25, deadline=None)
+def test_cat_kernel_routes_match_per_outcome_reference(separation, component_variance, phi):
+    spec = q.CatSpec(separation, component_variance)
+    cat = q.build_cat(separation, component_variance, q.auto_grid([spec], n_points=256))
+    probe = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=256))
+    fidelity = q.state_fidelity(cat, probe, phi, n_outcomes=128)
+    assert abs(fidelity - per_outcome_state_fidelity(cat, probe, phi, 128)) < 1e-12
+    rho = q.output_ensemble(cat, probe, phi, n_outcomes=128)
+    assert abs(rho.expectation(cat) - fidelity) < 1e-12
 
 
 def test_fidelity_pair_sum():

@@ -1,6 +1,7 @@
 """Trade-off optimizers: golden section, bisection, phase tuning, numeric curves."""
 
 import math
+import sys
 
 import pytest
 
@@ -12,6 +13,7 @@ from qndsim.errors import (
     NonFiniteObjectiveError,
     NoSignChangeError,
 )
+from qndsim.optimize import _bisect
 
 # refined operating points pinned by an independent golden-section/bisection
 # run at tolerance 1e-12 (regression anchors; the published rounding is the
@@ -81,6 +83,14 @@ def test_maximize_brackets_and_objective_errors():
         q.maximize_trade_off(closed_sum, 0.1, 1.0, 0.0)
 
 
+def test_maximize_rejects_tolerance_below_float_resolution():
+    with pytest.raises(InvalidParameterError, match="tolerance"):
+        q.maximize_trade_off(closed_sum, 0.05, 20.0, 1e-20)
+    finest = 64.0 * sys.float_info.epsilon * 20.0
+    x_m, _ = q.maximize_trade_off(closed_sum, 0.05, 20.0, finest)  # terminates
+    assert abs(x_m - X_M_REFINED) < 1e-6
+
+
 def test_maximize_warns_on_multimodal_scan():
     with pytest.warns(RuntimeWarning):
         q.maximize_trade_off(lambda x: math.sin(5.0 * x), 0.0, 5.0, 1e-4)
@@ -95,6 +105,9 @@ def test_equal_fidelity_point_location():
     assert abs(f_val - g_val) < 1e-6
     assert abs(f_val - 0.88) < 0.01
     assert abs(f_val - F_AT_XE_REFINED) < 1e-5
+    # F - G is exactly 0.0 at one float, so even tol = 1e-18 converges
+    x_exact = q.equal_fidelity_point(1.0, 2.0, 1e-18)
+    assert q.gaussian_state_fidelity(x_exact) == q.gaussian_distribution_fidelity(x_exact)
 
 
 def test_equal_fidelity_point_bracket_errors():
@@ -102,6 +115,16 @@ def test_equal_fidelity_point_bracket_errors():
         q.equal_fidelity_point(2.0, 1.0, 1e-6)
     with pytest.raises(NoSignChangeError):
         q.equal_fidelity_point(2.0, 3.0, 1e-6)
+
+
+def test_bisection_that_cannot_reach_tolerance_raises():
+    # a sign change with no root: |f| = 1 everywhere, so the bisection runs
+    # out of steps and must say so instead of returning a midpoint
+    def step(x):
+        return -1.0 if x < 1.0 / 3.0 else 1.0
+
+    with pytest.raises(InvalidParameterError, match="did not reach"):
+        _bisect(step, 0.0, 1.0, 0.5)
 
 
 def test_tune_phase_balanced_case():
