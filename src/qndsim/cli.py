@@ -38,12 +38,10 @@ from .chain import (
     sample_outcomes,
 )
 from .errors import InvalidParameterError, QndSimError
-from .fidelity import FidelityPair, distribution_fidelity, state_fidelity
 from .grids import (
     GaussianSpec,
     Grid,
     GridPolicy,
-    StateSpec,
     WaveFunction,
     auto_grid,
     build_gaussian,
@@ -54,6 +52,7 @@ from .grids import (
 )
 from .optimize import (
     gaussian_trade_off_report,
+    numeric_trade_off_curve,
     numeric_trade_off_report,
     trade_off,
     tune_phase,
@@ -161,9 +160,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 # signal loading
 
 
-def _load_signal(
-    signal_arg: tuple[str, object], policy: GridPolicy
-) -> tuple[WaveFunction, StateSpec | None, str]:
+def _load_signal(signal_arg: tuple[str, object], policy: GridPolicy) -> WaveFunction:
     kind, payload = signal_arg
     if kind == "file":
         data = np.loadtxt(str(payload), delimiter=",", comments="#", ndmin=2)
@@ -175,12 +172,15 @@ def _load_signal(
         grid = Grid(float(x[0]), float(x[-1]), len(x))
         if not np.allclose(x, grid.points, rtol=0.0, atol=1e-9 * (grid.x_max - grid.x_min)):
             raise InvalidParameterError(f"signal file {payload} is not uniformly spaced")
-        return WaveFunction.normalized(grid, amp), None, f"file:{payload}"
-    spec = payload
-    return build_state(spec, policy.grid_for([spec])), spec, _spec_text(spec)
+        return WaveFunction.normalized(grid, amp)
+    return build_state(payload, policy.grid_for([payload]))
 
 
-def _spec_text(spec: StateSpec) -> str:
+def _signal_text(signal_arg: tuple[str, object]) -> str:
+    """The --signal value that reproduces signal_arg."""
+    kind, spec = signal_arg
+    if kind == "file":
+        return f"file:{spec}"
     if isinstance(spec, GaussianSpec):
         return f"gaussian:{spec.mean!r},{spec.variance!r}"
     return f"cat:{spec.separation!r},{spec.component_variance!r}"
@@ -212,7 +212,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
         grid_policy=policy,
         seed=args.seed,
     )
-    signal, _, signal_text = _load_signal(args.signal, policy)
+    signal = _load_signal(args.signal, policy)
     probe = build_gaussian(config.probe_spec, policy.grid_for([config.probe_spec]))
 
     homodyne = homodyne_distribution(signal, probe, config.phi)
@@ -269,7 +269,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
             "transmittivity": config.transmittivity,
             "output_squeeze_factor": config.output_squeeze_factor,
             "probe_variance": config.probe_spec.variance,
-            "signal": signal_text,
+            "signal": _signal_text(args.signal),
             "outcome": f"sample:{payload}" if mode == "sample" else [float(v) for v in payload],
             "grid_n": args.grid_n,
             "grid_span": args.grid_span,
@@ -295,16 +295,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.mode == "closed":
         pairs = [trade_off(float(x)) for x in xs]
     else:
-        policy = GridPolicy(n_points=args.grid_n)
-        signal, _, _ = _load_signal(args.signal, policy)
-        sigma_s = math.sqrt(signal.variance())
-        t = math.tan(args.phi)
-        pairs = []
-        for x in xs:
-            probe = _build_probe((float(x) * sigma_s * t) ** 2, args.grid_n)
-            f_val = state_fidelity(signal, probe, args.phi, n_outcomes=args.outcome_nodes)
-            g_val = distribution_fidelity(signal, probe, args.phi, n_outcomes=args.outcome_nodes)
-            pairs.append(FidelityPair(F=f_val, G=g_val, x=float(x)))
+        signal = _load_signal(args.signal, GridPolicy(n_points=args.grid_n))
+        sigma_s, t = math.sqrt(signal.variance()), math.tan(args.phi)
+        variances = [(float(x) * sigma_s * t) ** 2 for x in xs]
+        pairs = numeric_trade_off_curve(
+            signal, variances, args.phi, args.outcome_nodes, args.grid_n, x_values=xs
+        )
 
     f_col = np.array([p.F for p in pairs])
     g_col = np.array([p.G for p in pairs])
@@ -322,7 +318,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "steps": args.steps,
             "mode": args.mode,
             "phi": args.phi,
-            "signal": args.signal[1] if args.signal[0] == "file" else _spec_text(args.signal[1]),
+            "signal": _signal_text(args.signal),
             "grid_n": args.grid_n,
             "outcome_nodes": args.outcome_nodes,
         },
@@ -339,7 +335,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
     policy = GridPolicy(n_points=args.grid_n)
-    signal, _, signal_text = _load_signal(args.signal, policy)
+    signal = _load_signal(args.signal, policy)
     if args.mode == "closed":
         report = gaussian_trade_off_report(tol=args.tol)
     else:
@@ -367,7 +363,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             "mode": args.mode,
             "tol": args.tol,
             "phi": args.phi,
-            "signal": signal_text,
+            "signal": _signal_text(args.signal),
             "sigma_probe": args.sigma_probe,
             "x_min": args.x_min,
             "x_max": args.x_max,

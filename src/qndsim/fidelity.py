@@ -18,10 +18,12 @@ the quadrature weights and m = |psi_s|^2 w the signal mass:
   outcome density   p(x0) = t sum_y |K(x0, y)|^2 m(y),   Z = int p dx0
   state fidelity    p(x0) |<psi_s|psi_x0>|^2 = t |A(x0)|^2,   A = sum_y K m,
                     so F = int t |A|^2 dx0 / Z
+  distribution fid. G = ( int sqrt(p(x0) / Z) |psi_s(x0)| dx0 )^2 on the same outcomes
   output ensemble   rho(x, x') = psi_s(x) psi_s*(x') (t / Z) int K(x0, x) K*(x0, x') dx0
 
-K is built in blocks of outcomes (`chain._kernel_blocks`).  Outcomes whose
-normalized density is at most NULL_OUTCOME_DENSITY are left out of F and rho.
+K is built in blocks of outcomes (`chain._kernel_blocks`); `fidelity_pair`
+reads F and G off one pass.  Outcomes whose normalized density is at most
+NULL_OUTCOME_DENSITY are left out of F and rho.
 """
 
 from __future__ import annotations
@@ -69,19 +71,28 @@ def _clamp_unit(value: float) -> float:
 
 def _outcome_weights(
     signal: WaveFunction, probe: WaveFunction, phi: float, ogrid: Grid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weight t w / Z of each outcome (0 where its density is null) and A(x0), in one pass."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outcome weight t w / Z (0 where p is null), A(x0) and normalized p(x0), in one pass."""
     t = math.tan(phi)
     mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
     p_raw = np.empty(ogrid.n_points)
     amp = np.empty(ogrid.n_points, dtype=np.complex128)
     for rows, k in _kernel_blocks(signal, probe, phi, ogrid):
-        p_raw[rows] = t * (np.abs(k) ** 2 @ mass)
+        p_raw[rows] = t * (np.abs(k) ** 2 @ mass)  # as homodyne_distribution: G matches bitwise
         amp[rows] = k @ mass
         del k
     density = Distribution.normalized(ogrid, p_raw).density
     z = float(ogrid.weights @ p_raw)
-    return np.where(density > NULL_OUTCOME_DENSITY, t * ogrid.weights / z, 0.0), amp
+    weight = np.where(density > NULL_OUTCOME_DENSITY, t * ogrid.weights / z, 0.0)
+    return weight, amp, density
+
+
+def _bhattacharyya_squared(signal: WaveFunction, ogrid: Grid, density: np.ndarray) -> float:
+    """G from the normalized outcome density on ogrid."""
+    s_eval = amplitude_interpolator(signal)
+    integrand = np.sqrt(density) * np.abs(s_eval(ogrid.points))
+    coeff = float(ogrid.weights @ integrand)
+    return _clamp_unit(coeff * coeff)
 
 
 def state_fidelity(
@@ -98,7 +109,7 @@ def state_fidelity(
     """
     check_phase(phi)
     ogrid = outcome_grid(signal, probe, phi, n_points=n_outcomes)
-    weight, amp = _outcome_weights(signal, probe, phi, ogrid)
+    weight, amp, _ = _outcome_weights(signal, probe, phi, ogrid)
     return _clamp_unit(float(weight @ np.abs(amp) ** 2))
 
 
@@ -112,10 +123,21 @@ def distribution_fidelity(
     check_phase(phi)
     ogrid = outcome_grid(signal, probe, phi, n_points=n_outcomes)
     p = homodyne_distribution(signal, probe, phi, out_grid=ogrid)
-    s_eval = amplitude_interpolator(signal)
-    integrand = np.sqrt(p.density) * np.abs(s_eval(ogrid.points))
-    coeff = float(ogrid.weights @ integrand)
-    return _clamp_unit(coeff * coeff)
+    return _bhattacharyya_squared(signal, ogrid, p.density)
+
+
+def fidelity_pair(
+    signal: WaveFunction,
+    probe: WaveFunction,
+    phi: float,
+    n_outcomes: int = OUTCOME_NODES,
+) -> FidelityPair:
+    """F and G from one kernel pass, equal to `state_fidelity` and `distribution_fidelity`."""
+    check_phase(phi)
+    ogrid = outcome_grid(signal, probe, phi, n_points=n_outcomes)
+    weight, amp, density = _outcome_weights(signal, probe, phi, ogrid)
+    f_val = _clamp_unit(float(weight @ np.abs(amp) ** 2))
+    return FidelityPair(F=f_val, G=_bhattacharyya_squared(signal, ogrid, density))
 
 
 def gaussian_state_fidelity(x: float) -> float:
@@ -201,7 +223,7 @@ def output_ensemble(
             "(memory grows quadratically)"
         )
     ogrid = outcome_grid(signal, probe, phi, n_points=n_outcomes)
-    weight, _ = _outcome_weights(signal, probe, phi, ogrid)
+    weight, _, _ = _outcome_weights(signal, probe, phi, ogrid)
     matrix = np.zeros((n, n), dtype=np.complex128, order="F")
     for rows, k in _kernel_blocks(signal, probe, phi, ogrid):
         k *= signal.amplitudes

@@ -25,10 +25,9 @@ from .errors import (
 )
 from .fidelity import (
     FidelityPair,
-    distribution_fidelity,
+    fidelity_pair,
     gaussian_distribution_fidelity,
     gaussian_state_fidelity,
-    state_fidelity,
 )
 from .grids import DEFAULT_GRID_POINTS, GaussianSpec, WaveFunction, auto_grid, build_gaussian
 
@@ -40,7 +39,7 @@ MAX_BISECTIONS = 200
 
 @dataclass(frozen=True)
 class TradeOffReport:
-    """Optimal operating point of the trade-off plus the equal-fidelity point."""
+    """Trade-off optimum and F = G point; evaluations counts distinct (F, G) computations."""
 
     x_m: float
     F_at_xm: float
@@ -179,15 +178,39 @@ def numeric_trade_off_curve(
         try:
             spec = GaussianSpec(mean=0.0, variance=float(variance))
             probe = build_gaussian(spec, auto_grid([spec], n_points=grid_points))
-            f_val = state_fidelity(signal, probe, phi, n_outcomes=n_outcomes)
-            g_val = distribution_fidelity(signal, probe, phi, n_outcomes=n_outcomes)
+            pair = fidelity_pair(signal, probe, phi, n_outcomes=n_outcomes)
         except QndSimError as err:
             raise type(err)(
                 f"trade-off point {i} (probe variance {variance}): {err}"
             ) from err
         x = float(x_values[i]) if x_values is not None else None
-        pairs.append(FidelityPair(F=f_val, G=g_val, x=x))
+        pairs.append(FidelityPair(F=pair.F, G=pair.G, x=x))
     return pairs
+
+
+def _trade_off_report(
+    pair_at: Callable[[float], FidelityPair], lo: float, hi: float, tol: float
+) -> TradeOffReport:
+    """F + G maximum and F = G crossing; x_m, x_e, lo and hi recur, so pair_at runs once per x."""
+    pairs: dict[float, FidelityPair] = {}
+
+    def pair(x: float) -> FidelityPair:
+        if x not in pairs:
+            pairs[x] = pair_at(x)
+        return pairs[x]
+
+    x_m, _ = maximize_trade_off(lambda x: pair(x).f_plus_g, lo, hi, tol)
+    x_e = _bisect(lambda x: (lambda p: p.F - p.G)(pair(x)), lo, hi, tol)
+    best, crossing = pair(x_m), pair(x_e)
+    return TradeOffReport(
+        x_m=x_m,
+        F_at_xm=best.F,
+        G_at_xm=best.G,
+        x_e=x_e,
+        F_at_xe=crossing.F,
+        evaluations=len(pairs),
+        tolerance=tol,
+    )
 
 
 def gaussian_trade_off_report(
@@ -196,30 +219,7 @@ def gaussian_trade_off_report(
     tol: float = 1e-4,
 ) -> TradeOffReport:
     """Locate the F + G maximum and the F = G crossing of the closed forms."""
-    evaluations = 0
-
-    def objective(x: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return gaussian_state_fidelity(x) + gaussian_distribution_fidelity(x)
-
-    x_m, _ = maximize_trade_off(objective, lo, hi, tol)
-
-    def difference(x: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return gaussian_state_fidelity(x) - gaussian_distribution_fidelity(x)
-
-    x_e = _bisect(difference, lo, hi, tol)
-    return TradeOffReport(
-        x_m=x_m,
-        F_at_xm=gaussian_state_fidelity(x_m),
-        G_at_xm=gaussian_distribution_fidelity(x_m),
-        x_e=x_e,
-        F_at_xe=gaussian_state_fidelity(x_e),
-        evaluations=evaluations,
-        tolerance=tol,
-    )
+    return _trade_off_report(trade_off, lo, hi, tol)
 
 
 def numeric_trade_off_report(
@@ -239,29 +239,9 @@ def numeric_trade_off_report(
     check_phase(phi)
     sigma_s = math.sqrt(signal.variance())
     t = math.tan(phi)
-    evaluations = 0
 
     def pair_at(x: float) -> FidelityPair:
-        nonlocal evaluations
-        evaluations += 1
-        spec = GaussianSpec(mean=0.0, variance=(x * sigma_s * t) ** 2)
-        probe = build_gaussian(spec, auto_grid([spec], n_points=grid_points))
-        return FidelityPair(
-            F=state_fidelity(signal, probe, phi, n_outcomes=n_outcomes),
-            G=distribution_fidelity(signal, probe, phi, n_outcomes=n_outcomes),
-            x=x,
-        )
+        variance = (x * sigma_s * t) ** 2
+        return numeric_trade_off_curve(signal, [variance], phi, n_outcomes, grid_points, [x])[0]
 
-    x_m, _ = maximize_trade_off(lambda x: pair_at(x).f_plus_g, lo, hi, tol)
-    best = pair_at(x_m)
-    x_e = _bisect(lambda x: (lambda p: p.F - p.G)(pair_at(x)), lo, hi, tol)
-    crossing = pair_at(x_e)
-    return TradeOffReport(
-        x_m=x_m,
-        F_at_xm=best.F,
-        G_at_xm=best.G,
-        x_e=x_e,
-        F_at_xe=crossing.F,
-        evaluations=evaluations,
-        tolerance=tol,
-    )
+    return _trade_off_report(pair_at, lo, hi, tol)

@@ -100,6 +100,23 @@ def test_chain_file_signal(tmp_path):
     assert summary["signal"]["variance"] == pytest.approx(0.25, abs=1e-6)
 
 
+def test_numeric_sweep_file_signal_records_signal_flag(tmp_path):
+    spec = q.GaussianSpec(0.0, 0.25)
+    grid = q.auto_grid([spec], n_points=512)
+    path = tmp_path / "signal.csv"
+    np.savetxt(path, np.column_stack([grid.points, q.build_gaussian(spec, grid).amplitudes.real]),
+               delimiter=",")
+    out = tmp_path / "run"
+    code = main(["sweep", "--x-min", "0.5", "--x-max", "2.0", "--steps", "3", "--mode", "numeric",
+                 "--signal", f"file:{path}", "--grid-n", "512", "--outcome-nodes", "256",
+                 "--out", str(out)])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["signal"] == f"file:{path}"
+    _, rows = read_csv(out / "sweep.csv")
+    assert len(rows) == 3
+
+
 def test_chain_missing_file_signal_exits_2(tmp_path):
     code = main(
         ["chain", "--phi", "0.7854", "--probe-var", "0.25",

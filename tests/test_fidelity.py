@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qndsim as q
+import qndsim.chain
+import qndsim.fidelity
 from qndsim.chain import NULL_OUTCOME_DENSITY
 from qndsim.errors import InvalidParameterError, ResourceLimitError
+from qndsim.fidelity import fidelity_pair
 
 VACUUM = q.GaussianSpec(0.0, 0.25)
 QUARTER_PI = math.pi / 4
@@ -248,6 +251,34 @@ def test_cat_kernel_routes_match_per_outcome_reference(separation, component_var
     assert abs(fidelity - per_outcome_state_fidelity(cat, probe, phi, 128)) < 1e-12
     rho = q.output_ensemble(cat, probe, phi, n_outcomes=128)
     assert abs(rho.expectation(cat) - fidelity) < 1e-12
+    g_val = q.distribution_fidelity(cat, probe, phi, n_outcomes=128)
+    assert fidelity_pair(cat, probe, phi, n_outcomes=128) == q.FidelityPair(F=fidelity, G=g_val)
+
+
+def test_fidelity_pair_equals_separate_routes_gaussian():
+    signal, probe = gaussian_pair(0.8, n_points=1024, phi=0.6)
+    separate = q.FidelityPair(
+        F=q.state_fidelity(signal, probe, 0.6), G=q.distribution_fidelity(signal, probe, 0.6)
+    )
+    assert fidelity_pair(signal, probe, 0.6) == separate
+
+
+def test_numeric_curve_makes_one_kernel_pass_per_point(monkeypatch):
+    passes = []
+    kernel_blocks = qndsim.chain._kernel_blocks
+
+    def counting(*args):
+        passes.append(args[3].n_points)
+        return kernel_blocks(*args)
+
+    monkeypatch.setattr(qndsim.chain, "_kernel_blocks", counting)
+    monkeypatch.setattr(qndsim.fidelity, "_kernel_blocks", counting)
+    signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=256))
+    pairs = q.numeric_trade_off_curve(
+        signal, [0.05, 0.25, 1.0], QUARTER_PI, n_outcomes=128, grid_points=256
+    )
+    assert len(pairs) == 3
+    assert passes == [128, 128, 128]
 
 
 def test_fidelity_pair_sum():

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import qndsim as q
+import qndsim.optimize
 from qndsim.errors import (
     BracketError,
     DegeneratePhaseError,
@@ -196,3 +197,19 @@ def test_numeric_optimum_matches_closed_form():
     )
     assert abs(report.x_m - X_M_REFINED) < 0.02
     assert abs(report.x_e - X_E_REFINED) < 0.05
+
+
+def test_numeric_report_computes_each_pair_once(monkeypatch):
+    probes = []
+    fidelity_pair = qndsim.optimize.fidelity_pair
+
+    def counting(signal, probe, phi, n_outcomes):
+        probes.append(probe.amplitudes.tobytes())
+        return fidelity_pair(signal, probe, phi, n_outcomes=n_outcomes)
+
+    monkeypatch.setattr(qndsim.optimize, "fidelity_pair", counting)
+    signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=256))
+    report = q.numeric_trade_off_report(signal, QUARTER_PI, tol=1e-2, n_outcomes=128,
+                                        grid_points=256)
+    assert len(probes) == report.evaluations
+    assert len(set(probes)) == len(probes)

@@ -1,0 +1,45 @@
+"""The example scripts run end to end and write their CSVs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
+def read_rows(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def test_tradeoff_study_with_cat(tmp_path):
+    proc = run_script("tradeoff_study.py", "--out", str(tmp_path), "--with-cat")
+    assert proc.returncode == 0, proc.stderr
+    closed = read_rows(tmp_path / "closed_curve.csv")
+    assert closed.shape == (200, 4)
+    cat = read_rows(tmp_path / "cat_curve.csv")
+    assert cat.shape == (15, 4)
+    assert np.all((cat[:, 1:3] > 0.0) & (cat[:, 1:3] <= 1.0))
+    assert (tmp_path / "report.json").is_file()
+
+
+def test_chain_demo(tmp_path):
+    proc = run_script("chain_demo.py", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    for label in ("squeezed", "vacuum", "antisqueezed"):
+        assert read_rows(tmp_path / f"homodyne_{label}.csv").shape[1] == 2
+        assert read_rows(tmp_path / f"conditional_{label}.csv").shape[1] == 2
