@@ -24,18 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, checks
 from .chain import (
-    ChainConfig,
-    beam_splitter_transform,
-    conditional_output,
-    conditional_state_raw,
-    feedback_displace,
-    homodyne_distribution,
-    make_outcome,
-    outcome_grid,
-    output_squeeze,
-    sample_outcomes,
+    ChainConfig, conditional_output, homodyne_distribution, make_outcome, sample_outcomes,
 )
 from .errors import InvalidParameterError, QndSimError
 from .grids import (
@@ -43,7 +34,6 @@ from .grids import (
     Grid,
     GridPolicy,
     WaveFunction,
-    auto_grid,
     build_gaussian,
     build_state,
     density,
@@ -163,7 +153,10 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def _load_signal(signal_arg: tuple[str, object], policy: GridPolicy) -> WaveFunction:
     kind, payload = signal_arg
     if kind == "file":
-        data = np.loadtxt(str(payload), delimiter=",", comments="#", ndmin=2)
+        try:
+            data = np.loadtxt(str(payload), delimiter=",", comments="#", ndmin=2)
+        except ValueError as err:
+            raise InvalidParameterError(f"signal file {payload} is not numeric: {err}") from None
         if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 16:
             raise InvalidParameterError(
                 f"signal file {payload} must hold at least 16 rows of x,amplitude"
@@ -184,11 +177,6 @@ def _signal_text(signal_arg: tuple[str, object]) -> str:
     if isinstance(spec, GaussianSpec):
         return f"gaussian:{spec.mean!r},{spec.variance!r}"
     return f"cat:{spec.separation!r},{spec.component_variance!r}"
-
-
-def _build_probe(variance: float, n_points: int) -> WaveFunction:
-    spec = GaussianSpec(mean=0.0, variance=variance)
-    return build_gaussian(spec, auto_grid([spec], n_points=n_points))
 
 
 def _state_summary(wf: WaveFunction) -> dict:
@@ -379,134 +367,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 # validate
 
 
-def _gaussian_density(x: np.ndarray, mean: float, variance: float) -> np.ndarray:
-    return np.exp(-((x - mean) ** 2) / (2 * variance)) / math.sqrt(2 * math.pi * variance)
-
-
-def _l1(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
-    return float(grid.weights @ np.abs(a - b))
-
-
-def _l2(a: WaveFunction, b: WaveFunction) -> float:
-    return math.sqrt(float(a.grid.weights @ np.abs(a.amplitudes - b.amplitudes) ** 2))
-
-
-def _check(name: str, measured: float, threshold: float, larger_ok: bool = False) -> dict:
-    passed = measured >= threshold if larger_ok else measured <= threshold
-    return {
-        "name": name,
-        "passed": bool(passed),
-        "measured": float(measured),
-        "threshold": float(threshold),
-        "comparison": ">=" if larger_ok else "<=",
-    }
-
-
-def _limit_checks() -> list[dict]:
-    checks: list[dict] = []
-    sig_spec = GaussianSpec(mean=0.0, variance=0.25)
-    sigma_s = sig_spec.sigma
-    phi = DEFAULT_PHI  # tan(phi) = 1
-
-    # vacuum probe: outcome density is the signal density blurred by 1/(4 tan^2)
-    signal = build_gaussian(sig_spec, auto_grid([sig_spec]))
-    probe = _build_probe(0.25, 2048)
-    p = homodyne_distribution(signal, probe, phi)
-    oracle = _gaussian_density(p.grid.points, 0.0, 0.5)
-    checks.append(_check("vacuum_convolution_l1", _l1(p.grid, p.density, oracle), 1e-6))
-    checks.append(_check("vacuum_convolution_variance", abs(p.variance() - 0.5), 1e-4))
-
-    # strongly squeezed probe: outcomes track the intrinsic density and the
-    # conditional outputs collapse onto the registered value
-    filter_var = 1e-4 * sig_spec.variance
-    signal = build_gaussian(sig_spec, auto_grid([sig_spec], n_points=4096))
-    probe = _build_probe(filter_var * math.tan(phi) ** 2, 2048)
-    p = homodyne_distribution(
-        signal, probe, phi, out_grid=outcome_grid(signal, probe, phi, n_points=2048)
-    )
-    intrinsic = _gaussian_density(p.grid.points, 0.0, sig_spec.variance)
-    checks.append(_check("squeezed_limit_l1", _l1(p.grid, p.density, intrinsic), 0.02))
-    worst_std = 0.0
-    worst_center = 0.0
-    for x0 in (-0.4, 0.0, 0.3):
-        conditional = conditional_output(signal, probe, phi, x0)
-        worst_std = max(worst_std, math.sqrt(conditional.variance()))
-        worst_center = max(worst_center, abs(conditional.mean() - x0))
-    checks.append(_check("squeezed_limit_conditional_std", worst_std, 0.02 * sigma_s))
-    checks.append(_check("squeezed_limit_conditional_center", worst_center, 0.02 * sigma_s))
-
-    # strongly anti-squeezed probe: outcomes flatten, outputs track the input
-    wide_var = 1e4 * sig_spec.variance * math.tan(phi) ** 2
-    signal = build_gaussian(sig_spec, auto_grid([sig_spec]))
-    probe = _build_probe(wide_var, 2048)
-    p = homodyne_distribution(signal, probe, phi)
-    expected_var = wide_var / math.tan(phi) ** 2
-    checks.append(
-        _check(
-            "antisqueezed_limit_variance_rel",
-            abs(p.variance() - expected_var) / expected_var,
-            0.01,
-        )
-    )
-    min_fidelity = 1.0
-    for x0 in np.linspace(-2 * sigma_s, 2 * sigma_s, 9):
-        conditional = conditional_output(signal, probe, phi, float(x0))
-        min_fidelity = min(min_fidelity, abs(overlap(signal, conditional)) ** 2)
-    checks.append(_check("antisqueezed_limit_overlap_sq", min_fidelity, 0.99, larger_ok=True))
-    return checks
-
-
-def _pipeline_checks() -> list[dict]:
-    checks: list[dict] = []
-    grid = Grid(-20.0, 20.0, 8192)
-    sig_spec = GaussianSpec(mean=0.0, variance=0.25)
-    signal = build_gaussian(sig_spec, grid)
-    worst = 0.0
-    for phi in (0.5, DEFAULT_PHI, 1.1):
-        for probe_var in (0.05, 0.25, 1.0):
-            probe = build_gaussian(GaussianSpec(mean=0.0, variance=probe_var), grid)
-            for x0 in (-1.0, 0.3, 1.5):
-                staged = conditional_state_raw(signal, probe, phi, x0)
-                staged = feedback_displace(staged, x0, phi)
-                staged = output_squeeze(staged, phi)
-                closed = conditional_output(signal, probe, phi, x0)
-                worst = max(worst, _l2(staged, closed))
-    checks.append(_check("pipeline_vs_closed_form_l2", worst, 1e-6))
-
-    worst_norm = 0.0
-    signal = build_gaussian(sig_spec, auto_grid([sig_spec], n_points=768))
-    probe = _build_probe(0.4, 768)
-    for phi in (0.3, DEFAULT_PHI, 1.2):
-        joint = beam_splitter_transform(signal, probe, phi)
-        worst_norm = max(worst_norm, abs(joint.norm() - 1.0))
-    checks.append(_check("beam_splitter_norm", worst_norm, 1e-6))
-
-    signal = build_gaussian(sig_spec, auto_grid([sig_spec]))
-    worst_integral = 0.0
-    worst_state_norm = 0.0
-    for probe_var in (0.05, 0.25, 4.0):
-        probe = _build_probe(probe_var, 2048)
-        p = homodyne_distribution(signal, probe, DEFAULT_PHI)
-        worst_integral = max(worst_integral, abs(p.total() - 1.0))
-        for x0 in (-0.5, 0.8):
-            conditional = conditional_output(signal, probe, DEFAULT_PHI, x0)
-            worst_state_norm = max(worst_state_norm, abs(conditional.norm() - 1.0))
-    checks.append(_check("homodyne_density_integral", worst_integral, 1e-8))
-    checks.append(_check("conditional_output_norm", worst_state_norm, 1e-9))
-    return checks
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
-    checks: list[dict] = []
-    if args.suite in ("limits", "all"):
-        checks.extend(_limit_checks())
-    if args.suite in ("pipeline", "all"):
-        checks.extend(_pipeline_checks())
-    all_passed = all(c["passed"] for c in checks)
-    _write_json(out_dir / "report.json", {"suite": args.suite, "passed": all_passed, "checks": checks})
+    results = checks.run(args.suite)
+    all_passed = all(c["passed"] for c in results)
+    _write_json(out_dir / "report.json", {"suite": args.suite, "passed": all_passed, "checks": results})
     _write_manifest(out_dir, "validate", {"suite": args.suite}, ["report.json"], None)
-    for check in checks:
+    for check in results:
         status = "PASS" if check["passed"] else "FAIL"
         print(
             f"[{status}] {check['name']}: measured {check['measured']:.3e} "

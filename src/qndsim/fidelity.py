@@ -23,7 +23,8 @@ the quadrature weights and m = |psi_s|^2 w the signal mass:
 
 K is built in blocks of outcomes (`chain._kernel_blocks`); `fidelity_pair`
 reads F and G off one pass.  Outcomes whose normalized density is at most
-NULL_OUTCOME_DENSITY are left out of F and rho.
+NULL_OUTCOME_DENSITY are left out of F and rho.  F and G raise
+InvalidParameterError rather than return values the grids cannot resolve.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .grids import Distribution, Grid, WaveFunction, amplitude_interpolator
 
 OUTCOME_NODES = 1024
 ENSEMBLE_POINT_CAP = 4096
+OUTCOME_MASS_SLACK = 2e-2  # tolerated |trapezoid of |psi_s|^2 on the outcome grid - 1|
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,33 @@ def _outcome_weights(
     return weight, amp, density
 
 
-def _bhattacharyya_squared(signal: WaveFunction, ogrid: Grid, density: np.ndarray) -> float:
-    """G from the normalized outcome density on ogrid."""
-    s_eval = amplitude_interpolator(signal)
-    integrand = np.sqrt(density) * np.abs(s_eval(ogrid.points))
-    coeff = float(ogrid.weights @ integrand)
+def _resolved_outcome_grid(
+    signal: WaveFunction, probe: WaveFunction, phi: float, n_outcomes: int
+) -> tuple[Grid, np.ndarray]:
+    """The outcome grid for F and G, and |psi_s| on it; raises InvalidParameterError unless
+    the probe filter (width sigma_p / tan phi) spans a signal grid step and the outcome
+    grid's trapezoid of |psi_s|^2 is 1 within OUTCOME_MASS_SLACK."""
+    check_phase(phi)
+    filter_width = math.sqrt(probe.variance()) / math.tan(phi)
+    if filter_width < signal.grid.step:
+        raise InvalidParameterError(
+            f"probe filter width {filter_width:.3g} is below the signal grid step "
+            f"{signal.grid.step:.3g}: F and G are not resolved; use a finer signal grid"
+        )
+    ogrid = outcome_grid(signal, probe, phi, n_points=n_outcomes)
+    s_abs = np.abs(amplitude_interpolator(signal)(ogrid.points))
+    mass = float(ogrid.weights @ s_abs**2)
+    if abs(mass - 1.0) > OUTCOME_MASS_SLACK:
+        raise InvalidParameterError(
+            f"outcome grid (step {ogrid.step:.3g}) integrates |psi_s|^2 to {mass:.3g}, not "
+            f"1 +/- {OUTCOME_MASS_SLACK}: F and G are not resolved; use more outcome nodes"
+        )
+    return ogrid, s_abs
+
+
+def _bhattacharyya_squared(ogrid: Grid, density: np.ndarray, s_abs: np.ndarray) -> float:
+    """G from the normalized outcome density and |psi_s| on ogrid."""
+    coeff = float(ogrid.weights @ (np.sqrt(density) * s_abs))
     return _clamp_unit(coeff * coeff)
 
 
@@ -107,8 +131,7 @@ def state_fidelity(
     standard deviations; outcomes below the null-density threshold are
     skipped (their weight is negligible by construction).
     """
-    check_phase(phi)
-    ogrid = outcome_grid(signal, probe, phi, n_points=n_outcomes)
+    ogrid, _ = _resolved_outcome_grid(signal, probe, phi, n_outcomes)
     weight, amp, _ = _outcome_weights(signal, probe, phi, ogrid)
     return _clamp_unit(float(weight @ np.abs(amp) ** 2))
 
@@ -120,10 +143,9 @@ def distribution_fidelity(
     n_outcomes: int = OUTCOME_NODES,
 ) -> float:
     """Squared Bhattacharyya coefficient between p(x0) and |psi_s(x)|^2."""
-    check_phase(phi)
-    ogrid = outcome_grid(signal, probe, phi, n_points=n_outcomes)
+    ogrid, s_abs = _resolved_outcome_grid(signal, probe, phi, n_outcomes)
     p = homodyne_distribution(signal, probe, phi, out_grid=ogrid)
-    return _bhattacharyya_squared(signal, ogrid, p.density)
+    return _bhattacharyya_squared(ogrid, p.density, s_abs)
 
 
 def fidelity_pair(
@@ -133,11 +155,10 @@ def fidelity_pair(
     n_outcomes: int = OUTCOME_NODES,
 ) -> FidelityPair:
     """F and G from one kernel pass, equal to `state_fidelity` and `distribution_fidelity`."""
-    check_phase(phi)
-    ogrid = outcome_grid(signal, probe, phi, n_points=n_outcomes)
+    ogrid, s_abs = _resolved_outcome_grid(signal, probe, phi, n_outcomes)
     weight, amp, density = _outcome_weights(signal, probe, phi, ogrid)
     f_val = _clamp_unit(float(weight @ np.abs(amp) ** 2))
-    return FidelityPair(F=f_val, G=_bhattacharyya_squared(signal, ogrid, density))
+    return FidelityPair(F=f_val, G=_bhattacharyya_squared(ogrid, density, s_abs))
 
 
 def gaussian_state_fidelity(x: float) -> float:

@@ -11,12 +11,28 @@ import numpy as np
 from scipy.stats import norm
 
 import qndsim as q
-
-from helpers import gaussian_density, l1_distance, l2_distance
+from qndsim import checks
 
 VACUUM = q.GaussianSpec(0.0, 0.25)
 SIGMA_S = 0.5
 QUARTER_PI = math.pi / 4
+
+# Criteria 4-8 measure through `qndsim.checks`, the registry `qndsim validate` runs,
+# and assert these tolerances: upper bounds, except OVERLAP's lower bound.
+OVERLAP = "antisqueezed_limit_overlap_sq"
+PINNED = {
+    "pipeline_vs_closed_form_l2": 1e-6,
+    "squeezed_limit_l1": 0.02,
+    "squeezed_limit_conditional_std": 0.02 * SIGMA_S,
+    "squeezed_limit_conditional_center": 0.02 * SIGMA_S,
+    OVERLAP: 0.99,
+    "antisqueezed_limit_variance_rel": 0.01,
+    "vacuum_convolution_l1": 1e-6,
+    "vacuum_convolution_variance": 1e-4,
+    "beam_splitter_norm": 1e-6,
+    "homodyne_density_integral": 1e-8,
+    "conditional_output_norm": 1e-9,
+}
 
 
 def report(name: str, passed: bool, detail: str) -> None:
@@ -94,114 +110,45 @@ def test_criterion_3_closed_vs_numeric_fidelities():
     )
 
 
-def test_criterion_4_pipeline_equivalence():
+def report_measured(name, group, max_seconds=math.inf):
+    """One registry group's measurements against their PINNED tolerances."""
     start = time.perf_counter()
-    grid = q.Grid(-20.0, 20.0, 8192)
-    signal = q.build_gaussian(VACUUM, grid)
-    worst = 0.0
-    for phi in (0.5, QUARTER_PI, 1.1):
-        for probe_var in (0.05, 0.25, 1.0):
-            probe = q.build_gaussian(q.GaussianSpec(0.0, probe_var), grid)
-            for x0 in (-1.0, 0.3, 1.5):
-                staged = q.output_squeeze(
-                    q.feedback_displace(
-                        q.conditional_state_raw(signal, probe, phi, x0), x0, phi
-                    ),
-                    phi,
-                )
-                closed = q.conditional_output(signal, probe, phi, x0)
-                worst = max(worst, l2_distance(staged, closed))
+    m = checks.measured(group)
     elapsed = time.perf_counter() - start
-    ok = worst < 1e-6 and elapsed < 10.0
-    report(
-        "criterion 4: pipeline equivalence (3x3x3)",
-        ok,
-        f"max L2={worst:.2e} ({elapsed:.1f}s)",
+    ok = elapsed < max_seconds and all(
+        value > PINNED[key] if key == OVERLAP else value < PINNED[key] for key, value in m.items()
     )
+    report(name, ok, " ".join(f"{k}={v:.3g}" for k, v in m.items()) + f" ({elapsed:.1f}s)")
+
+
+def test_criterion_4_pipeline_equivalence():
+    report_measured("criterion 4: pipeline equivalence (3x3x3)", "pipeline_equivalence", 10.0)
 
 
 def test_criterion_5_projective_limit():
-    filter_var = 1e-4 * SIGMA_S**2  # filter width 1e-4 * sigma_s^2
-    signal = build(VACUUM, n_points=4096)
-    probe = build(q.GaussianSpec(0.0, filter_var * math.tan(QUARTER_PI) ** 2))
-    p = q.homodyne_distribution(
-        signal, probe, QUARTER_PI,
-        out_grid=q.outcome_grid(signal, probe, QUARTER_PI, n_points=2048),
-    )
-    intrinsic = gaussian_density(p.grid.points, 0.0, SIGMA_S**2)
-    l1 = l1_distance(p.grid, p.density, intrinsic)
-    worst_std = worst_center = 0.0
-    for x0 in (-0.4, 0.0, 0.3):
-        conditional = q.conditional_output(signal, probe, QUARTER_PI, x0)
-        worst_std = max(worst_std, math.sqrt(conditional.variance()))
-        worst_center = max(worst_center, abs(conditional.mean() - x0))
-    ok = l1 < 0.02 and worst_std < 0.02 * SIGMA_S and worst_center < 0.02 * SIGMA_S
-    report(
-        "criterion 5: projective limit",
-        ok,
-        f"L1={l1:.2e} cond_std={worst_std:.2e} cond_center_err={worst_center:.2e}",
-    )
+    report_measured("criterion 5: projective limit", "squeezed_limit")
 
 
 def test_criterion_6_non_destructive_limit():
-    probe_var = 1e4 * SIGMA_S**2 * math.tan(QUARTER_PI) ** 2  # filter width 1e4 sigma_s^2
-    signal = build(VACUUM)
-    probe = build(q.GaussianSpec(0.0, probe_var))
-    min_overlap_sq = 1.0
-    for x0 in np.linspace(-2 * SIGMA_S, 2 * SIGMA_S, 9):
-        conditional = q.conditional_output(signal, probe, QUARTER_PI, float(x0))
-        min_overlap_sq = min(min_overlap_sq, abs(q.overlap(signal, conditional)) ** 2)
-    p = q.homodyne_distribution(signal, probe, QUARTER_PI)
-    expected_var = probe_var / math.tan(QUARTER_PI) ** 2
-    var_rel_err = abs(p.variance() - expected_var) / expected_var
-    ok = min_overlap_sq > 0.99 and var_rel_err < 0.01
-    report(
-        "criterion 6: non-destructive limit",
-        ok,
-        f"min|<s|out>|^2={min_overlap_sq:.6f} var_rel_err={var_rel_err:.2e}",
-    )
+    report_measured("criterion 6: non-destructive limit", "antisqueezed_limit")
 
 
 def test_criterion_7_vacuum_probe_convolution():
-    signal = build(VACUUM)
-    probe = build(VACUUM)
-    p = q.homodyne_distribution(signal, probe, QUARTER_PI)
-    # explicit gaussian convolution: N(0, 1/4) * N(0, 1/(4 tan^2)) = N(0, 1/2)
-    oracle = gaussian_density(p.grid.points, 0.0, 0.5)
-    l1 = l1_distance(p.grid, p.density, oracle)
-    var_err = abs(p.variance() - 0.5)
-    ok = l1 < 1e-6 and var_err < 1e-4
-    report(
-        "criterion 7: vacuum-probe convolution",
-        ok,
-        f"L1={l1:.2e} |var-0.5|={var_err:.2e}",
-    )
+    report_measured("criterion 7: vacuum-probe convolution", "vacuum_convolution")
 
 
 def test_criterion_8_unitarity_and_normalization():
-    specs = [q.GaussianSpec(0.2, 0.15), q.GaussianSpec(-0.1, 0.6)]
-    grid = q.auto_grid(specs, n_points=768)
-    signal2, probe2 = q.build_gaussian(specs[0], grid), q.build_gaussian(specs[1], grid)
-    worst_joint = max(
-        abs(q.beam_splitter_transform(signal2, probe2, phi).norm() - 1.0)
-        for phi in (0.3, QUARTER_PI, 1.2)
-    )
-    signal = build(VACUUM)
-    worst_integral = worst_norm = 0.0
-    for probe_var in (0.05, 0.25, 4.0):
-        probe = build(q.GaussianSpec(0.0, probe_var))
-        p = q.homodyne_distribution(signal, probe, QUARTER_PI)
-        worst_integral = max(worst_integral, abs(p.total() - 1.0))
-        for x0 in (-0.5, 0.0, 0.8):
-            conditional = q.conditional_output(signal, probe, QUARTER_PI, x0)
-            worst_norm = max(worst_norm, abs(conditional.norm() - 1.0))
-    ok = worst_joint < 1e-6 and worst_integral < 1e-8 and worst_norm < 1e-9
-    report(
-        "criterion 8: unitarity and normalization",
-        ok,
-        f"|joint_norm-1|={worst_joint:.2e} |int p-1|={worst_integral:.2e} "
-        f"|cond_norm-1|={worst_norm:.2e}",
-    )
+    report_measured("criterion 8: unitarity and normalization", "normalization")
+
+
+def test_registry_is_no_looser_than_pinned_tolerances():
+    registry = {c.name: c for group in checks.REGISTRY for c in group.checks}
+    assert registry.keys() == PINNED.keys()
+    for name, tol in PINNED.items():
+        check = registry[name]
+        lower = name == OVERLAP
+        assert check.comparison == (">=" if lower else "<="), name
+        assert check.threshold >= tol if lower else check.threshold <= tol, name
 
 
 def test_criterion_9_monte_carlo_consistency():

@@ -83,15 +83,6 @@ def test_beam_splitter_vacuum_pair_invariant():
     assert np.abs(joint.amplitudes - expected).max() < 1e-6
 
 
-def test_beam_splitter_preserves_norm():
-    specs = [q.GaussianSpec(0.2, 0.15), q.GaussianSpec(-0.1, 0.6)]
-    grid = q.auto_grid(specs, n_points=768)
-    signal, probe = build(specs[0], grid), build(specs[1], grid)
-    for phi in (0.3, QUARTER_PI, 1.2):
-        joint = q.beam_splitter_transform(signal, probe, phi)
-        assert abs(joint.norm() - 1.0) < 1e-6
-
-
 def test_beam_splitter_rejects_narrow_output_grid():
     grid = q.auto_grid([VACUUM], n_points=256)
     vac = build(VACUUM, grid)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qndsim as q
+from qndsim import checks
 from qndsim.cli import main
 
 GAUSSIAN_FLAGS = ["--phi", "0.7854", "--probe-var", "0.25", "--signal", "gaussian:0,0.25"]
@@ -126,6 +127,14 @@ def test_chain_missing_file_signal_exits_2(tmp_path):
     assert code == 2
 
 
+def test_chain_file_signal_with_header_row_exits_3(tmp_path, capsys):
+    path = tmp_path / "header.csv"
+    path.write_text("x,amp\n" + "".join(f"{0.1 * i},1.0\n" for i in range(20)))
+    assert main(["chain", "--phi", "0.7854", "--probe-var", "0.25", "--signal", f"file:{path}",
+                 "--outcome", "0.0", "--out", str(tmp_path / "run")]) == 3
+    assert str(path) in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(tmp_path):
     out = str(tmp_path / "x")
     assert main(["sweep", "--x-min", "0.1", "--x-max", "2", "--steps", "0",
@@ -215,8 +224,8 @@ def test_validate_all_passes(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is True
     assert all(c["passed"] for c in report["checks"])
-    names = {c["name"] for c in report["checks"]}
-    assert {"vacuum_convolution_l1", "squeezed_limit_l1", "pipeline_vs_closed_form_l2"} <= names
+    names = [c["name"] for c in report["checks"]]
+    assert names == [c.name for group in checks.REGISTRY for c in group.checks]
     stdout = capsys.readouterr().out
     assert stdout.count("[PASS]") == len(report["checks"])
 
@@ -228,18 +237,14 @@ def test_validate_single_suite_subset(tmp_path):
     assert all("limit" not in c["name"] for c in report["checks"])
 
 
-def test_validate_failure_exits_1_and_still_writes_report(tmp_path, monkeypatch):
-    import qndsim.cli as cli
-
-    def failing_checks():
-        return [{"name": "forced", "passed": False, "measured": 1.0,
-                 "threshold": 0.0, "comparison": "<="}]
-
-    monkeypatch.setattr(cli, "_pipeline_checks", failing_checks)
+def test_validate_failure_exits_1_and_still_writes_report(tmp_path, monkeypatch, capsys):
+    forced = checks.CheckGroup("pipeline", lambda: (1.0,), (checks.Check("forced", 0.0),))
+    monkeypatch.setattr(checks, "REGISTRY", [forced])
     out = tmp_path / "vf"
     assert main(["validate", "--suite", "pipeline", "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is False
+    assert "[FAIL] forced: measured 1.000e+00 <= 0.000e+00" in capsys.readouterr().out
 
 
 def test_csv_values_round_trip_exactly(tmp_path):

@@ -110,6 +110,15 @@ def test_state_fidelity_outcome_refinement_is_converged():
     assert abs(coarse - fine) < 1e-4
 
 
+@pytest.mark.parametrize("route", [q.state_fidelity, q.distribution_fidelity, fidelity_pair])
+@pytest.mark.parametrize("x, unresolved", [(0.01, "filter width"), (100.0, "outcome grid")])
+def test_unresolved_grids_raise(route, x, unresolved):
+    # x = 0.01: filter 0.005 below the signal step 0.039; x = 100: outcome step 6.3, sigma_s 0.5
+    signal, probe = gaussian_pair(x, n_points=256)
+    with pytest.raises(InvalidParameterError, match=unresolved):
+        route(signal, probe, QUARTER_PI, n_outcomes=128)
+
+
 def test_fidelities_monotone_in_filter_width():
     signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=1024))
     f_vals, g_vals = [], []
