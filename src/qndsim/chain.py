@@ -42,6 +42,7 @@ PHASE_MARGIN = 1e-6  # sin(phi) and cos(phi) must both exceed this
 NULL_OUTCOME_DENSITY = 1e-12  # conditioning below this density is meaningless
 SUPPORT_CUTOFF = 1e-8  # relative amplitude defining the numerical support
 OUTCOME_SPAN_SIGMAS = 8.0
+KERNEL_BLOCK_ENTRIES = 2**15  # per kernel block: 2^14-2^15 ran fastest on 2 vCPUs
 
 
 def check_phase(phi: float) -> None:
@@ -201,20 +202,42 @@ def outcome_grid(
 
 
 def _kernel_blocks(
-    signal: WaveFunction, probe: WaveFunction, phi: float, out_grid: Grid
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """K(x0, y) = psi_p(tan(phi) (y - x0)) on out_grid x the signal grid, as (rows, K[rows]).
+    signal: WaveFunction,
+    probe: WaveFunction,
+    phi: float,
+    out_grid: Grid,
+    block_entries: int = KERNEL_BLOCK_ENTRIES,
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """K(x0, y) = psi_p(tan(phi) (y - x0)) on out_grid x the signal grid, in row blocks.
 
-    Each block of outcome rows holds at most 2^20 entries.  Callers `del` a
-    block before taking the next, so that only one block is alive at a time.
+    Yields (rows, K[rows], scratch).  Each block holds at most block_entries
+    entries, in buffers allocated once per pass: each yielded block is
+    overwritten by the next one, so a caller that keeps a block must copy
+    it.  scratch is a float buffer of the block's shape that the caller may
+    use until it takes the next block.
     """
     t = math.tan(phi)
     p_eval = amplitude_interpolator(probe)
     y = signal.grid.points
-    block = max(1, 2**20 // signal.grid.n_points)
-    for start in range(0, out_grid.n_points, block):
-        rows = slice(start, start + block)
-        yield rows, p_eval(t * (y[None, :] - out_grid.points[rows, None]))
+    x0 = out_grid.points
+    block = max(1, block_entries // y.size)
+    args = np.empty((min(block, x0.size), y.size))
+    kernel = np.empty(args.shape, dtype=np.complex128)
+    for start in range(0, x0.size, block):
+        rows = slice(start, min(start + block, x0.size))
+        m = rows.stop - start
+        arg = np.subtract(y[None, :], x0[rows, None], out=args[:m])
+        arg *= t
+        yield rows, p_eval(arg, out=kernel[:m]), arg  # arg is free once K is built
+
+
+def _outcome_density_rows(
+    k: np.ndarray, scratch: np.ndarray, signal_mass: np.ndarray, t: float
+) -> np.ndarray:
+    """Unnormalized p on one kernel block, t |K|^2 @ m, with |K|^2 formed in scratch."""
+    np.abs(k, out=scratch)
+    np.square(scratch, out=scratch)
+    return t * (scratch @ signal_mass)
 
 
 def homodyne_distribution(
@@ -240,9 +263,8 @@ def homodyne_distribution(
         )
     signal_mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
     out = np.empty(out_grid.n_points)
-    for rows, k in _kernel_blocks(signal, probe, phi, out_grid):
-        out[rows] = t * (np.abs(k) ** 2 @ signal_mass)
-        del k
+    for rows, k, scratch in _kernel_blocks(signal, probe, phi, out_grid):
+        out[rows] = _outcome_density_rows(k, scratch, signal_mass, t)
     return Distribution.normalized(out_grid, out)
 
 

@@ -23,7 +23,7 @@ the quadrature weights and m = |psi_s|^2 w the signal mass:
 
 K is built in blocks of outcomes (`chain._kernel_blocks`); `fidelity_pair`
 reads F and G off one pass.  Outcomes whose normalized density is at most
-NULL_OUTCOME_DENSITY are left out of F and rho.  F and G raise
+NULL_OUTCOME_DENSITY are left out of F and rho.  F, G and rho raise
 InvalidParameterError rather than return values the grids cannot resolve.
 """
 
@@ -38,6 +38,7 @@ from scipy.linalg.blas import zgemm
 from .chain import (
     NULL_OUTCOME_DENSITY,
     _kernel_blocks,
+    _outcome_density_rows,
     check_phase,
     homodyne_distribution,
     outcome_grid,
@@ -47,6 +48,7 @@ from .grids import Distribution, Grid, WaveFunction, amplitude_interpolator
 
 OUTCOME_NODES = 1024
 ENSEMBLE_POINT_CAP = 4096
+ENSEMBLE_BLOCK_ENTRIES = 2**20  # kernel entries per rank update of rho
 OUTCOME_MASS_SLACK = 2e-2  # tolerated |trapezoid of |psi_s|^2 on the outcome grid - 1|
 
 
@@ -79,10 +81,9 @@ def _outcome_weights(
     mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
     p_raw = np.empty(ogrid.n_points)
     amp = np.empty(ogrid.n_points, dtype=np.complex128)
-    for rows, k in _kernel_blocks(signal, probe, phi, ogrid):
-        p_raw[rows] = t * (np.abs(k) ** 2 @ mass)  # as homodyne_distribution: G matches bitwise
+    for rows, k, scratch in _kernel_blocks(signal, probe, phi, ogrid):
+        p_raw[rows] = _outcome_density_rows(k, scratch, mass, t)  # G matches homodyne bitwise
         amp[rows] = k @ mass
-        del k
     density = Distribution.normalized(ogrid, p_raw).density
     z = float(ogrid.weights @ p_raw)
     weight = np.where(density > NULL_OUTCOME_DENSITY, t * ogrid.weights / z, 0.0)
@@ -92,9 +93,9 @@ def _outcome_weights(
 def _resolved_outcome_grid(
     signal: WaveFunction, probe: WaveFunction, phi: float, n_outcomes: int
 ) -> tuple[Grid, np.ndarray]:
-    """The outcome grid for F and G, and |psi_s| on it; raises InvalidParameterError unless
-    the probe filter (width sigma_p / tan phi) spans a signal grid step and the outcome
-    grid's trapezoid of |psi_s|^2 is 1 within OUTCOME_MASS_SLACK."""
+    """The outcome grid for F, G and rho, and |psi_s| on it; raises InvalidParameterError
+    unless the probe filter (width sigma_p / tan phi) spans a signal grid step and the
+    outcome grid's trapezoid of |psi_s|^2 is 1 within OUTCOME_MASS_SLACK."""
     check_phase(phi)
     filter_width = math.sqrt(probe.variance()) / math.tan(phi)
     if filter_width < signal.grid.step:
@@ -235,7 +236,11 @@ def output_ensemble(
     phi: float,
     n_outcomes: int = OUTCOME_NODES,
 ) -> DensityMatrixGrid:
-    """Outcome-averaged output state rho(x, x') = int p(x0) psi_x0(x) psi_x0*(x') dx0."""
+    """Outcome-averaged output state rho(x, x') = int p(x0) psi_x0(x) psi_x0*(x') dx0.
+
+    Raises InvalidParameterError on grids that cannot resolve the probe
+    filter, as F does.
+    """
     check_phase(phi)
     n = signal.grid.n_points
     if n > ENSEMBLE_POINT_CAP:
@@ -243,13 +248,13 @@ def output_ensemble(
             f"ensemble kernel needs n_points <= {ENSEMBLE_POINT_CAP}, got {n} "
             "(memory grows quadratically)"
         )
-    ogrid = outcome_grid(signal, probe, phi, n_points=n_outcomes)
+    ogrid, _ = _resolved_outcome_grid(signal, probe, phi, n_outcomes)
     weight, _, _ = _outcome_weights(signal, probe, phi, ogrid)
     matrix = np.zeros((n, n), dtype=np.complex128, order="F")
-    for rows, k in _kernel_blocks(signal, probe, phi, ogrid):
+    # one rank-r update of rho per block: r = 2^20 / n rows keep zgemm efficient
+    for rows, k, _ in _kernel_blocks(signal, probe, phi, ogrid, ENSEMBLE_BLOCK_ENTRIES):
         k *= signal.amplitudes
         k *= np.sqrt(weight[rows])[:, None]  # row x0: sqrt(t w / Z) psi_s(x) K(x0, x)
         # rho += k^T conj(k), accumulated in place: no n x n temporary per block
         matrix = zgemm(1.0, k.T, k.T, beta=1.0, c=matrix, trans_b=2, overwrite_c=True)
-        del k
     return DensityMatrixGrid(signal.grid, matrix)

@@ -22,6 +22,7 @@ VACUUM_VARIANCE = 0.25
 
 DEFAULT_GRID_POINTS = 2048
 DEFAULT_SPAN_SIGMAS = 10.0
+SPLINE_CHUNK = 2**16  # points per pass of a spline evaluation: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -322,8 +323,21 @@ def parse_state_spec(text: str) -> StateSpec:
     raise InvalidParameterError(f"unknown state kind {kind!r} in {text!r}")
 
 
-def amplitude_interpolator(wf: WaveFunction) -> Callable[[np.ndarray], np.ndarray]:
+def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:
     """Cubic-spline evaluator for the amplitudes, zero outside the grid.
+
+    `evaluate(x, out=None)` returns complex values of x's shape, written
+    into `out` (C-contiguous complex128, x's shape) when given.  Points
+    outside [x_min, x_max], NaN and +/-inf included, give 0.
+
+    The spline is scipy's `CubicSpline` (not-a-knot) fitted on the grid, and
+    the values equal `CubicSpline.__call__` bit for bit: the same interval
+    (half-open, the last one closed), the same s = x - knot, and the same
+    sum c3 + c2 s + c1 s^2 + c0 s^3 with s^3 = s^2 s.  Only the interval
+    search is replaced: the knots are uniform, so (x - x_min) / step + 1/2
+    truncates to one of two neighbouring intervals, and one comparison with
+    the knot between them decides.  The imaginary part is skipped when the
+    spline is real.
 
     The evaluator is cached on the wavefunction (safe: amplitudes are
     immutable), so repeated conditioning against the same state is cheap.
@@ -331,14 +345,52 @@ def amplitude_interpolator(wf: WaveFunction) -> Callable[[np.ndarray], np.ndarra
     cached = wf.__dict__.get("_cached_interpolator")
     if cached is not None:
         return cached
-    spline = CubicSpline(wf.grid.points, wf.amplitudes)
-    lo, hi = wf.grid.x_min, wf.grid.x_max
+    knots = wf.grid.points
+    coef = CubicSpline(knots, wf.amplitudes).c  # (4, n - 1), highest power first
+    lo, hi, n = wf.grid.x_min, wf.grid.x_max, wf.grid.n_points
+    inv_step = 1.0 / wf.grid.step
+    # Tables indexed by k = interval + 1.  k = 0 (below x_min, NaN) and k = n
+    # (above x_max) are sentinels: zero coefficients, and s is clamped to 0 there.
+    lower = np.concatenate(([lo], knots[:-1], [np.inf]))  # the knot s is measured from
+    upper = np.concatenate(([lo], knots[1:-1], [np.nextafter(hi, np.inf)], [np.inf]))
+    parts = (coef.real,) if not np.any(coef.imag) else (coef.real, coef.imag)
+    tables = [[np.concatenate(([0.0], row, [0.0])) for row in c[::-1]] for c in parts]
 
-    def evaluate(x: np.ndarray) -> np.ndarray:
+    def evaluate(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        inside = (x >= lo) & (x <= hi)
-        vals = spline(np.clip(x, lo, hi))
-        return np.where(inside, vals, 0.0)
+        if out is None:
+            out = np.empty(x.shape, dtype=np.complex128)
+        elif not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+        # One allocation for all temporaries, reused chunk by chunk: several large
+        # ones per call make glibc return the memory to the OS and fault it back in.
+        work = np.empty((6, min(flat_x.size, SPLINE_CHUNK)))
+        for start in range(0, flat_x.size, SPLINE_CHUNK):
+            x_c = flat_x[start : start + SPLINE_CHUNK]
+            out_c = flat_out[start : start + SPLINE_CHUNK]
+            s, k, s2, s3, v, term = work[:, : x_c.size]
+            k = k.view(np.intp)
+            np.multiply(x_c, inv_step, out=s)
+            s += 0.5 - lo * inv_step  # int(s) is k or k - 1; the upper knot decides
+            np.minimum(s, n - 1.0, out=s)
+            with np.errstate(invalid="ignore"):  # NaN and inf: the cast, and inf - inf
+                np.copyto(k, s, casting="unsafe")  # NaN, -inf: negative, read as 0 by "clip"
+                k += np.greater_equal(x_c, upper.take(k, mode="clip", out=s))
+                np.subtract(x_c, lower.take(k, mode="clip", out=s), out=s)
+            np.fmax(s, 0.0, out=s)  # 0 at the sentinels, NaN included; s >= 0 inside
+            np.multiply(s, s, out=s2)
+            np.multiply(s2, s, out=s3)
+            for target, (c3, c2, c1, c0) in zip((out_c.real, out_c.imag), tables):
+                np.multiply(c2.take(k, mode="clip", out=v), s, out=v)
+                v += c3.take(k, mode="clip", out=term)
+                np.multiply(c1.take(k, mode="clip", out=term), s2, out=term)
+                v += term
+                np.multiply(c0.take(k, mode="clip", out=term), s3, out=term)
+                np.add(v, term, out=target)
+        if len(tables) == 1:
+            out.imag = 0.0
+        return out
 
     wf.__dict__["_cached_interpolator"] = evaluate
     return evaluate

@@ -157,6 +157,33 @@ def test_homodyne_anti_squeezed_flattens():
     assert abs(p.mean()) < 0.1
 
 
+def test_kernel_blocks_share_one_buffer_and_match_one_shot_kernel():
+    phi, t = 0.7, math.tan(0.7)
+    cat, probe_spec = q.CatSpec(1.8, 0.2025), q.GaussianSpec(0.0, 0.3)
+    signal = q.build_cat(1.8, 0.2025, q.auto_grid([cat], n_points=1024))
+    probe = build(probe_spec, q.auto_grid([probe_spec], n_points=1024))
+    # 1023 outcomes: not a multiple of the rows per block, so the last block is short
+    ogrid = q.outcome_grid(signal, probe, phi, n_points=1023)
+    y, x0 = signal.grid.points, ogrid.points
+    one_shot = q.grids.amplitude_interpolator(probe)(t * (y[None, :] - x0[:, None]))
+
+    blocks, views = [], []
+    for rows, k, _ in q.chain._kernel_blocks(signal, probe, phi, ogrid):
+        views.append(k)
+        blocks.append((rows, k.copy()))  # copied: the next block overwrites this one
+    assert all(np.shares_memory(k, views[0]) for k in views)
+    starts, stops = [r.start for r, _ in blocks], [r.stop for r, _ in blocks]
+    assert starts == [0] + stops[:-1] and stops[-1] == 1023
+    assert len(blocks[-1][1]) < len(blocks[0][1])
+    kernel = np.concatenate([k for _, k in blocks])
+    assert np.array_equal(kernel.view(np.float64), one_shot.view(np.float64))
+
+    mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
+    expected = q.Distribution.normalized(ogrid, t * (np.abs(one_shot) ** 2 @ mass))
+    density = q.homodyne_distribution(signal, probe, phi, out_grid=ogrid).density
+    assert np.array_equal(density, expected.density)
+
+
 def test_homodyne_rejects_narrow_outcome_grid():
     grid = q.auto_grid([VACUUM])
     vac = build(VACUUM, grid)

@@ -66,6 +66,13 @@ def test_chain_degenerate_phase_exits_3(tmp_path, capsys):
     assert "degenerate" in err and "phi" in err
 
 
+@pytest.mark.parametrize("flag", [["--outcome", "nan"], ["--outcome=-inf"]])
+def test_chain_nonfinite_outcome_exits_3(tmp_path, capsys, flag):
+    code = main(["chain", *GAUSSIAN_FLAGS, *flag, "--out", str(tmp_path / "bad")])
+    assert code == 3
+    assert "outcome density p(x0)=0.000e+00" in capsys.readouterr().err
+
+
 def test_chain_sampling_is_byte_deterministic(tmp_path):
     flags = ["chain", *GAUSSIAN_FLAGS, "--outcome", "sample:100000", "--seed", "7"]
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -110,7 +110,9 @@ def test_state_fidelity_outcome_refinement_is_converged():
     assert abs(coarse - fine) < 1e-4
 
 
-@pytest.mark.parametrize("route", [q.state_fidelity, q.distribution_fidelity, fidelity_pair])
+@pytest.mark.parametrize(
+    "route", [q.state_fidelity, q.distribution_fidelity, fidelity_pair, q.output_ensemble]
+)
 @pytest.mark.parametrize("x, unresolved", [(0.01, "filter width"), (100.0, "outcome grid")])
 def test_unresolved_grids_raise(route, x, unresolved):
     # x = 0.01: filter 0.005 below the signal step 0.039; x = 100: outcome step 6.3, sigma_s 0.5

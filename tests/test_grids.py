@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 import qndsim as q
 from qndsim.errors import GridMismatchError, GridTooNarrowError, InvalidParameterError
@@ -166,6 +167,40 @@ def test_auto_grid_spans_all_states():
     grid = q.auto_grid([q.GaussianSpec(-1.0, 0.25), q.CatSpec(3.0, 1.0)])
     assert grid.x_min <= -1.0 - 10 * 1.0 + 1e-12
     assert grid.x_max >= 3.0 + 10 * 1.0 - 1e-12
+
+
+# the last knot x_min + 2047 step falls 8.9e-16 below x_max on the first grid
+# (the spline extrapolates up to x_max) and 8.9e-16 above it on the second
+@pytest.mark.parametrize("bounds", [(-7.3, 6.1), (-6.1, 5.7)])
+@pytest.mark.parametrize("phase", [0.0, 1.3])  # 0: real amplitudes, no imaginary pass
+# -1 with variance 0.01: the tails underflow to amplitudes of -0.0
+@pytest.mark.parametrize("sign, variance", [(1.0, 0.4), (-1.0, 0.01)])
+def test_interpolator_matches_cubic_spline_bitwise(bounds, phase, sign, variance):
+    grid = q.Grid(*bounds, 2048)
+    knots, lo, hi = grid.points, grid.x_min, grid.x_max
+    # not normalized: the division would turn -0.0 into +0.0
+    wf = q.WaveFunction(
+        grid, sign * gaussian_amplitude(knots, 0.3, variance) * np.exp(1j * phase * knots)
+    )
+    x = np.concatenate(
+        [
+            knots,
+            np.nextafter(knots, -np.inf),
+            np.nextafter(knots, np.inf),
+            [lo, hi],
+            np.random.default_rng(7).uniform(lo - 2.0, hi + 2.0, 80_000),
+        ]
+    )  # more points than SPLINE_CHUNK: the evaluation runs in two chunks
+    spline = CubicSpline(knots, wf.amplitudes)
+    expected = np.where((x >= lo) & (x <= hi), spline(np.clip(x, lo, hi)), 0.0)
+    evaluate = q.grids.amplitude_interpolator(wf)
+    assert np.array_equal(evaluate(x).view(np.float64), expected.view(np.float64))
+    # 2-D input, as beam_splitter_transform passes, written into a given buffer
+    out = np.empty((200, 200), dtype=np.complex128)
+    assert evaluate(x[-40_000:].reshape(200, 200), out=out) is out
+    assert np.array_equal(out.ravel().view(np.float64), expected[-40_000:].view(np.float64))
+    nonfinite = evaluate(np.array([np.nan, np.inf, -np.inf]))
+    assert np.array_equal(nonfinite.view(np.float64), np.zeros(6))
 
 
 def test_grid_policy_halfspan_override():
