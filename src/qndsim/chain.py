@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import (
     DegeneratePhaseError,
+    GridMismatchError,
     GridTooNarrowError,
     InvalidParameterError,
     NullOutcomeError,
@@ -42,7 +42,6 @@ PHASE_MARGIN = 1e-6  # sin(phi) and cos(phi) must both exceed this
 NULL_OUTCOME_DENSITY = 1e-12  # conditioning below this density is meaningless
 SUPPORT_CUTOFF = 1e-8  # relative amplitude defining the numerical support
 OUTCOME_SPAN_SIGMAS = 8.0
-KERNEL_BLOCK_ENTRIES = 2**15  # per kernel block: 2^14-2^15 ran fastest on 2 vCPUs
 
 
 def check_phase(phi: float) -> None:
@@ -181,6 +180,17 @@ def beam_splitter_transform(
     return JointWaveFunction(out_grid1, out_grid2, amp)
 
 
+def _outcome_span(
+    signal: WaveFunction, probe: WaveFunction, phi: float, sigmas: float
+) -> tuple[float, float]:
+    """Mean -/+ sigmas combined sigma, sqrt(sigma_s^2 + sigma_p^2 / tan^2 phi)."""
+    check_phase(phi)
+    t = math.tan(phi)
+    center = signal.mean() - probe.mean() / t
+    halfspan = sigmas * math.sqrt(signal.variance() + probe.variance() / t**2)
+    return center - halfspan, center + halfspan
+
+
 def outcome_grid(
     signal: WaveFunction,
     probe: WaveFunction,
@@ -188,56 +198,50 @@ def outcome_grid(
     n_points: int | None = None,
     span_sigmas: float = OUTCOME_SPAN_SIGMAS,
 ) -> Grid:
-    """Grid for inferred outcomes, sized to mean +/- span_sigmas combined sigma.
+    """Outcome nodes y_0 + (o + k j) h on the signal lattice (x_min y_0, step h, integer o,
+    possibly negative), covering mean +/- span_sigmas combined sigma.
 
-    The combined sigma is sqrt(sigma_s^2 + sigma_p^2 / tan^2 phi): signal
-    spread plus the probe filter width.
+    n_points (default: the signal's) sets k = max(1, round(r / h)), r the step of n_points
+    nodes over the span, capped so that k h is within the filter width sigma_p / tan phi,
+    which p and F must resolve.  The node count follows from span and k: rarely n_points.
     """
-    check_phase(phi)
-    t = math.tan(phi)
-    center = signal.mean() - probe.mean() / t
-    halfspan = span_sigmas * math.sqrt(signal.variance() + probe.variance() / t**2)
-    n = n_points or signal.grid.n_points
-    return Grid(center - halfspan, center + halfspan, n)
+    lo, hi = _outcome_span(signal, probe, phi, span_sigmas)
+    requested = Grid(lo, hi, n_points or signal.grid.n_points)
+    y0, h = signal.grid.x_min, signal.grid.step
+    filter_width = math.sqrt(probe.variance()) / math.tan(phi)
+    k = max(1, min(round(requested.step / h), math.floor(filter_width / h)))
+    first = math.floor((lo - y0) / h)
+    last = first + k * math.ceil(((hi - y0) / h - first) / k)
+    return Grid(y0 + first * h, y0 + last * h, (last - first) // k + 1)
 
 
-def _kernel_blocks(
-    signal: WaveFunction,
-    probe: WaveFunction,
-    phi: float,
-    out_grid: Grid,
-    block_entries: int = KERNEL_BLOCK_ENTRIES,
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """K(x0, y) = psi_p(tan(phi) (y - x0)) on out_grid x the signal grid, in row blocks.
-
-    Yields (rows, K[rows], scratch).  Each block holds at most block_entries
-    entries, in buffers allocated once per pass: each yielded block is
-    overwritten by the next one, so a caller that keeps a block must copy
-    it.  scratch is a float buffer of the block's shape that the caller may
-    use until it takes the next block.
+def _outcome_kernel(
+    signal: WaveFunction, probe: WaveFunction, phi: float, out_grid: Grid
+) -> tuple[np.ndarray, np.ndarray]:
+    """kappa, and K(x0_j, y_i) = psi_p(tan(phi) (y_i - x0_j)) = kappa[i + k (M - 1 - j)] as a
+    read-only (M, N) strided view of kappa: kappa[e] = psi_p(tan(phi) h (e - o - k (M - 1))).
+    GridMismatchError unless out_grid's nodes y_0 + (o + k j) h are on the lattice within 1e-9 h.
     """
-    t = math.tan(phi)
-    p_eval = amplitude_interpolator(probe)
-    y = signal.grid.points
-    x0 = out_grid.points
-    block = max(1, block_entries // y.size)
-    args = np.empty((min(block, x0.size), y.size))
-    kernel = np.empty(args.shape, dtype=np.complex128)
-    for start in range(0, x0.size, block):
-        rows = slice(start, min(start + block, x0.size))
-        m = rows.stop - start
-        arg = np.subtract(y[None, :], x0[rows, None], out=args[:m])
-        arg *= t
-        yield rows, p_eval(arg, out=kernel[:m]), arg  # arg is free once K is built
+    y0, h, n, m = signal.grid.x_min, signal.grid.step, signal.grid.n_points, out_grid.n_points
+    first, k = round((out_grid.x_min - y0) / h), round(out_grid.step / h)
+    last = first + k * (m - 1)
+    off = max(abs(out_grid.x_min - y0 - first * h), abs(out_grid.x_max - y0 - last * h))
+    if k < 1 or off > 1e-9 * h:
+        raise GridMismatchError(
+            f"outcome grid [{out_grid.x_min}, {out_grid.x_max}] x {m} is off the signal "
+            f"lattice {y0} + integer x {h}; build it with outcome_grid"
+        )
+    kappa = amplitude_interpolator(probe)((np.arange(n + k * (m - 1)) - last) * (math.tan(phi) * h))
+    return kappa, sliding_window_view(kappa, n)[::-k]
 
 
-def _outcome_density_rows(
-    k: np.ndarray, scratch: np.ndarray, signal_mass: np.ndarray, t: float
-) -> np.ndarray:
-    """Unnormalized p on one kernel block, t |K|^2 @ m, with |K|^2 formed in scratch."""
-    np.abs(k, out=scratch)
-    np.square(scratch, out=scratch)
-    return t * (scratch @ signal_mass)
+def _row_sums(values: np.ndarray, mass: np.ndarray, rows: int) -> np.ndarray:
+    """Row j < rows: sum_i values[i + k (rows - 1 - j)] mass[i], k = (len(values) - len(mass))
+    / (rows - 1), by one FFT correlation; with values = kappa, K @ mass without forming K."""
+    k = (values.size - mass.size) // (rows - 1)
+    size = 1 << (values.size - 1).bit_length()  # >= len(values): no wrap-around
+    spectrum = np.fft.fft(values, size) * np.conj(np.fft.fft(mass, size))
+    return np.fft.ifft(spectrum)[k * (rows - 1) :: -k]
 
 
 def homodyne_distribution(
@@ -248,24 +252,22 @@ def homodyne_distribution(
 ) -> Distribution:
     """Density of the inferred outcome x0 = -X / sin(phi).
 
-    p(x0) = tan(phi) * int |psi_s(y)|^2 |psi_p(tan(phi) (y - x0))|^2 dy,
-    evaluated by direct quadrature over the signal grid (no joint state).
+    p(x0) = tan(phi) * int |psi_s(y)|^2 |psi_p(tan(phi) (y - x0))|^2 dy, a correlation of
+    |kappa|^2 with |psi_s|^2 w on the signal grid (no joint state).  out_grid must
+    cover mean +/- 8 combined sigma and lie on the signal lattice (`outcome_grid`).
     """
-    check_phase(phi)
-    t = math.tan(phi)
-    required = outcome_grid(signal, probe, phi)
+    lo, hi = _outcome_span(signal, probe, phi, OUTCOME_SPAN_SIGMAS)
     if out_grid is None:
-        out_grid = required
-    elif not out_grid.covers(required.x_min, required.x_max):
+        out_grid = outcome_grid(signal, probe, phi)
+    elif not out_grid.covers(lo, hi):
         raise GridTooNarrowError(
             f"outcome grid [{out_grid.x_min}, {out_grid.x_max}] must cover mean +/- "
-            f"{OUTCOME_SPAN_SIGMAS} combined sigma, i.e. [{required.x_min}, {required.x_max}]"
+            f"{OUTCOME_SPAN_SIGMAS} combined sigma, i.e. [{lo}, {hi}]"
         )
-    signal_mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
-    out = np.empty(out_grid.n_points)
-    for rows, k, scratch in _kernel_blocks(signal, probe, phi, out_grid):
-        out[rows] = _outcome_density_rows(k, scratch, signal_mass, t)
-    return Distribution.normalized(out_grid, out)
+    kappa, _ = _outcome_kernel(signal, probe, phi, out_grid)
+    mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
+    p_raw = math.tan(phi) * _row_sums(np.abs(kappa) ** 2, mass, out_grid.n_points).real
+    return Distribution.normalized(out_grid, p_raw)
 
 
 def _filtered_outcome(

@@ -179,6 +179,11 @@ def _signal_text(signal_arg: tuple[str, object]) -> str:
     return f"cat:{spec.separation!r},{spec.component_variance!r}"
 
 
+def _check_bracket(args: argparse.Namespace) -> None:
+    if not 0 < args.x_min < args.x_max:
+        raise InvalidParameterError(f"need 0 < --x-min < --x-max, got [{args.x_min}, {args.x_max}]")
+
+
 def _state_summary(wf: WaveFunction) -> dict:
     return {
         "norm": wf.norm(),
@@ -274,10 +279,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
-    if not 0 < args.x_min < args.x_max:
-        raise InvalidParameterError(
-            f"need 0 < --x-min < --x-max, got [{args.x_min}, {args.x_max}]"
-        )
+    _check_bracket(args)
     xs = np.linspace(args.x_min, args.x_max, args.steps)
 
     if args.mode == "closed":
@@ -322,10 +324,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
+    _check_bracket(args)
     policy = GridPolicy(n_points=args.grid_n)
     signal = _load_signal(args.signal, policy)
     if args.mode == "closed":
-        report = gaussian_trade_off_report(tol=args.tol)
+        report = gaussian_trade_off_report(lo=args.x_min, hi=args.x_max, tol=args.tol)
     else:
         report = numeric_trade_off_report(
             signal,
@@ -418,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--signal", type=_signal_arg, default=_signal_arg(DEFAULT_SIGNAL))
     sweep.add_argument("--phi", type=float, default=DEFAULT_PHI)
     sweep.add_argument("--grid-n", type=_positive_int, default=2048)
-    sweep.add_argument("--outcome-nodes", type=_positive_int, default=1024)
+    sweep.add_argument("--outcome-nodes", type=_positive_int, default=1024,
+                       help="N sets the outcome step, the multiple of the signal grid "
+                       "step nearest span/(N-1); the node count follows from the span")
     sweep.add_argument("--out", required=True, metavar="DIR")
     sweep.set_defaults(func=cmd_sweep)
 

@@ -21,10 +21,10 @@ the quadrature weights and m = |psi_s|^2 w the signal mass:
   distribution fid. G = ( int sqrt(p(x0) / Z) |psi_s(x0)| dx0 )^2 on the same outcomes
   output ensemble   rho(x, x') = psi_s(x) psi_s*(x') (t / Z) int K(x0, x) K*(x0, x') dx0
 
-K is built in blocks of outcomes (`chain._kernel_blocks`); `fidelity_pair`
-reads F and G off one pass.  Outcomes whose normalized density is at most
-NULL_OUTCOME_DENSITY are left out of F and rho.  F, G and rho raise
-InvalidParameterError rather than return values the grids cannot resolve.
+K is a view of one vector on lattice-aligned outcomes (`chain._outcome_kernel`); p and
+A are its FFT correlations with m.  Outcomes with normalized density at most
+NULL_OUTCOME_DENSITY are left out of F and rho.  F, G and rho raise InvalidParameterError
+rather than return values the grids cannot resolve, or raw F, G off [0, 1] by UNIT_SLACK.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from scipy.linalg.blas import zgemm
 
 from .chain import (
     NULL_OUTCOME_DENSITY,
-    _kernel_blocks,
-    _outcome_density_rows,
+    _outcome_kernel,
+    _row_sums,
     check_phase,
     homodyne_distribution,
     outcome_grid,
@@ -48,8 +48,8 @@ from .grids import Distribution, Grid, WaveFunction, amplitude_interpolator
 
 OUTCOME_NODES = 1024
 ENSEMBLE_POINT_CAP = 4096
-ENSEMBLE_BLOCK_ENTRIES = 2**20  # kernel entries per rank update of rho
 OUTCOME_MASS_SLACK = 2e-2  # tolerated |trapezoid of |psi_s|^2 on the outcome grid - 1|
+UNIT_SLACK = 1e-9  # raw F and G may leave [0, 1] by this much before they are clamped
 
 
 @dataclass(frozen=True)
@@ -69,25 +69,26 @@ class FidelityPair:
         return self.F + self.G
 
 
-def _clamp_unit(value: float) -> float:
+def _checked_unit(value: float) -> float:
+    """A raw fidelity clamped to [0, 1]; raises if it is off by more than UNIT_SLACK, or NaN."""
+    if not -UNIT_SLACK <= value <= 1.0 + UNIT_SLACK:
+        raise InvalidParameterError(f"raw fidelity {value!r} is outside [0, 1] by > {UNIT_SLACK}")
     return min(max(value, 0.0), 1.0)
 
 
 def _outcome_weights(
     signal: WaveFunction, probe: WaveFunction, phi: float, ogrid: Grid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outcome weight t w / Z (0 where p is null), A(x0) and normalized p(x0), in one pass."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Outcome weight t w / Z (0 where p is null), A(x0), normalized p(x0) and the view K."""
     t = math.tan(phi)
     mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
-    p_raw = np.empty(ogrid.n_points)
-    amp = np.empty(ogrid.n_points, dtype=np.complex128)
-    for rows, k, scratch in _kernel_blocks(signal, probe, phi, ogrid):
-        p_raw[rows] = _outcome_density_rows(k, scratch, mass, t)  # G matches homodyne bitwise
-        amp[rows] = k @ mass
+    kappa, kernel = _outcome_kernel(signal, probe, phi, ogrid)
+    p_raw = t * _row_sums(np.abs(kappa) ** 2, mass, ogrid.n_points).real  # homodyne's, bitwise
+    amp = _row_sums(kappa, mass, ogrid.n_points)
     density = Distribution.normalized(ogrid, p_raw).density
     z = float(ogrid.weights @ p_raw)
     weight = np.where(density > NULL_OUTCOME_DENSITY, t * ogrid.weights / z, 0.0)
-    return weight, amp, density
+    return weight, amp, density, kernel
 
 
 def _resolved_outcome_grid(
@@ -117,7 +118,7 @@ def _resolved_outcome_grid(
 def _bhattacharyya_squared(ogrid: Grid, density: np.ndarray, s_abs: np.ndarray) -> float:
     """G from the normalized outcome density and |psi_s| on ogrid."""
     coeff = float(ogrid.weights @ (np.sqrt(density) * s_abs))
-    return _clamp_unit(coeff * coeff)
+    return _checked_unit(coeff * coeff)
 
 
 def state_fidelity(
@@ -133,8 +134,8 @@ def state_fidelity(
     skipped (their weight is negligible by construction).
     """
     ogrid, _ = _resolved_outcome_grid(signal, probe, phi, n_outcomes)
-    weight, amp, _ = _outcome_weights(signal, probe, phi, ogrid)
-    return _clamp_unit(float(weight @ np.abs(amp) ** 2))
+    weight, amp, _, _ = _outcome_weights(signal, probe, phi, ogrid)
+    return _checked_unit(float(weight @ np.abs(amp) ** 2))
 
 
 def distribution_fidelity(
@@ -155,10 +156,10 @@ def fidelity_pair(
     phi: float,
     n_outcomes: int = OUTCOME_NODES,
 ) -> FidelityPair:
-    """F and G from one kernel pass, equal to `state_fidelity` and `distribution_fidelity`."""
+    """F and G from one kernel evaluation, equal to `state_fidelity` and `distribution_fidelity`."""
     ogrid, s_abs = _resolved_outcome_grid(signal, probe, phi, n_outcomes)
-    weight, amp, density = _outcome_weights(signal, probe, phi, ogrid)
-    f_val = _clamp_unit(float(weight @ np.abs(amp) ** 2))
+    weight, amp, density, _ = _outcome_weights(signal, probe, phi, ogrid)
+    f_val = _checked_unit(float(weight @ np.abs(amp) ** 2))
     return FidelityPair(F=f_val, G=_bhattacharyya_squared(ogrid, density, s_abs))
 
 
@@ -195,7 +196,7 @@ def state_fidelity_via_transfer(signal: WaveFunction, phi: float, sigma_p: float
     y = signal.grid.points
     mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
     kernel = transfer_function(y[:, None], y[None, :], phi, sigma_p)
-    return _clamp_unit(float(mass @ kernel @ mass))
+    return _checked_unit(float(mass @ kernel @ mass))
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,8 +239,8 @@ def output_ensemble(
 ) -> DensityMatrixGrid:
     """Outcome-averaged output state rho(x, x') = int p(x0) psi_x0(x) psi_x0*(x') dx0.
 
-    Raises InvalidParameterError on grids that cannot resolve the probe
-    filter, as F does.
+    rho = rows^T conj(rows) for the non-null rows of K, sqrt(t w / Z) psi_s(x) K(x0, x).
+    Raises InvalidParameterError on grids that cannot resolve the probe filter, as F does.
     """
     check_phase(phi)
     n = signal.grid.n_points
@@ -249,12 +250,9 @@ def output_ensemble(
             "(memory grows quadratically)"
         )
     ogrid, _ = _resolved_outcome_grid(signal, probe, phi, n_outcomes)
-    weight, _, _ = _outcome_weights(signal, probe, phi, ogrid)
-    matrix = np.zeros((n, n), dtype=np.complex128, order="F")
-    # one rank-r update of rho per block: r = 2^20 / n rows keep zgemm efficient
-    for rows, k, _ in _kernel_blocks(signal, probe, phi, ogrid, ENSEMBLE_BLOCK_ENTRIES):
-        k *= signal.amplitudes
-        k *= np.sqrt(weight[rows])[:, None]  # row x0: sqrt(t w / Z) psi_s(x) K(x0, x)
-        # rho += k^T conj(k), accumulated in place: no n x n temporary per block
-        matrix = zgemm(1.0, k.T, k.T, beta=1.0, c=matrix, trans_b=2, overwrite_c=True)
-    return DensityMatrixGrid(signal.grid, matrix)
+    weight, _, _, kernel = _outcome_weights(signal, probe, phi, ogrid)
+    live = weight > 0.0
+    rows = kernel[live]  # the one copy of K: its non-null rows
+    rows *= signal.amplitudes
+    rows *= np.sqrt(weight[live])[:, None]  # row x0: sqrt(t w / Z) psi_s(x) K(x0, x)
+    return DensityMatrixGrid(signal.grid, zgemm(1.0, rows.T, rows.T, trans_b=2))

@@ -326,9 +326,8 @@ def parse_state_spec(text: str) -> StateSpec:
 def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:
     """Cubic-spline evaluator for the amplitudes, zero outside the grid.
 
-    `evaluate(x, out=None)` returns complex values of x's shape, written
-    into `out` (C-contiguous complex128, x's shape) when given.  Points
-    outside [x_min, x_max], NaN and +/-inf included, give 0.
+    `evaluate(x)` returns complex values of x's shape.  Points outside
+    [x_min, x_max], NaN and +/-inf included, give 0.
 
     The spline is scipy's `CubicSpline` (not-a-knot) fitted on the grid, and
     the values equal `CubicSpline.__call__` bit for bit: the same interval
@@ -356,12 +355,9 @@ def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:
     parts = (coef.real,) if not np.any(coef.imag) else (coef.real, coef.imag)
     tables = [[np.concatenate(([0.0], row, [0.0])) for row in c[::-1]] for c in parts]
 
-    def evaluate(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def evaluate(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if out is None:
-            out = np.empty(x.shape, dtype=np.complex128)
-        elif not out.flags.c_contiguous:
-            raise ValueError("out must be C-contiguous")
+        out = np.zeros(x.shape, dtype=np.complex128)  # stays 0 where a pass is skipped
         flat_x, flat_out = x.reshape(-1), out.reshape(-1)
         # One allocation for all temporaries, reused chunk by chunk: several large
         # ones per call make glibc return the memory to the OS and fault it back in.
@@ -388,8 +384,6 @@ def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:
                 v += term
                 np.multiply(c0.take(k, mode="clip", out=term), s3, out=term)
                 np.add(v, term, out=target)
-        if len(tables) == 1:
-            out.imag = 0.0
         return out
 
     wf.__dict__["_cached_interpolator"] = evaluate

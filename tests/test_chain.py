@@ -10,6 +10,7 @@ from scipy.stats import norm
 import qndsim as q
 from qndsim.errors import (
     DegeneratePhaseError,
+    GridMismatchError,
     GridTooNarrowError,
     InvalidParameterError,
     NullOutcomeError,
@@ -157,31 +158,74 @@ def test_homodyne_anti_squeezed_flattens():
     assert abs(p.mean()) < 0.1
 
 
-def test_kernel_blocks_share_one_buffer_and_match_one_shot_kernel():
+@pytest.mark.parametrize("n_outcomes", [1023, 300, 64])  # strides k = 2, 9 and 41
+def test_outcome_kernel_is_one_vector_and_matches_one_shot_kernel(n_outcomes):
     phi, t = 0.7, math.tan(0.7)
     cat, probe_spec = q.CatSpec(1.8, 0.2025), q.GaussianSpec(0.0, 0.3)
     signal = q.build_cat(1.8, 0.2025, q.auto_grid([cat], n_points=1024))
     probe = build(probe_spec, q.auto_grid([probe_spec], n_points=1024))
-    # 1023 outcomes: not a multiple of the rows per block, so the last block is short
-    ogrid = q.outcome_grid(signal, probe, phi, n_points=1023)
+    ogrid = q.outcome_grid(signal, probe, phi, n_points=n_outcomes)
     y, x0 = signal.grid.points, ogrid.points
     one_shot = q.grids.amplitude_interpolator(probe)(t * (y[None, :] - x0[:, None]))
 
-    blocks, views = [], []
-    for rows, k, _ in q.chain._kernel_blocks(signal, probe, phi, ogrid):
-        views.append(k)
-        blocks.append((rows, k.copy()))  # copied: the next block overwrites this one
-    assert all(np.shares_memory(k, views[0]) for k in views)
-    starts, stops = [r.start for r, _ in blocks], [r.stop for r, _ in blocks]
-    assert starts == [0] + stops[:-1] and stops[-1] == 1023
-    assert len(blocks[-1][1]) < len(blocks[0][1])
-    kernel = np.concatenate([k for _, k in blocks])
-    assert np.array_equal(kernel.view(np.float64), one_shot.view(np.float64))
+    kappa, kernel = q.chain._outcome_kernel(signal, probe, phi, ogrid)
+    k = round(ogrid.step / signal.grid.step)
+    assert kappa.shape == (1024 + k * (ogrid.n_points - 1),)
+    assert kernel.shape == (ogrid.n_points, 1024)
+    assert np.shares_memory(kernel, kappa) and not kernel.flags.writeable
+    # kappa's argument t h d and the one-shot t (y - x0) differ in the last bits:
+    # 2.4e-15 at most here, against a kernel peak of 0.85
+    assert np.abs(kernel - one_shot).max() < 1e-14
 
     mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
     expected = q.Distribution.normalized(ogrid, t * (np.abs(one_shot) ** 2 @ mass))
     density = q.homodyne_distribution(signal, probe, phi, out_grid=ogrid).density
-    assert np.array_equal(density, expected.density)
+    # FFT correlation against the direct sum: 5e-16 at most, density peak 0.25
+    assert np.abs(density - expected.density).max() < 1e-14
+
+
+@pytest.mark.parametrize(
+    "signal_spec, probe_var, phi, n_outcomes",
+    [
+        (q.GaussianSpec(0.0, 0.25), 0.25, QUARTER_PI, None),  # k = 1, node count 2318
+        (q.GaussianSpec(1.3, 0.1), 0.05, 0.4, 700),
+        (q.CatSpec(1.8, 0.2025), 4.0, 1.1, 128),  # wide probe: nodes start below the grid
+        (q.CatSpec(2.5, 0.05), 0.25, 1.35, 128),  # the filter width caps k at 24, not 68
+    ],
+)
+def test_outcome_grid_lies_on_signal_lattice(signal_spec, probe_var, phi, n_outcomes):
+    signal = q.build_state(signal_spec, q.auto_grid([signal_spec], n_points=2048))
+    probe_spec = q.GaussianSpec(0.0, probe_var)
+    probe = build(probe_spec, q.auto_grid([probe_spec], n_points=2048))
+    ogrid = q.outcome_grid(signal, probe, phi, n_points=n_outcomes)
+    h = signal.grid.step
+    steps = (ogrid.points - signal.grid.x_min) / h
+    assert np.abs(steps - np.round(steps)).max() < 1e-9
+    k = round(ogrid.step / h)
+    requested = (n_outcomes or 2048) - 1
+    combined = math.sqrt(signal.variance() + probe.variance() / math.tan(phi) ** 2)
+    filter_width = math.sqrt(probe.variance()) / math.tan(phi)
+    assert k == max(1, min(round(2 * 8 * combined / requested / h), int(filter_width / h)))
+    assert k * h <= filter_width
+    center = signal.mean()
+    assert ogrid.x_min <= center - 8 * combined and center + 8 * combined <= ogrid.x_max
+    assert ogrid.x_max - ogrid.x_min < 16 * combined + 2 * k * h  # at most one stride over
+    if n_outcomes is None:
+        assert ogrid.n_points == 2318
+    if probe_var == 4.0:
+        assert ogrid.x_min < signal.grid.x_min
+
+
+def test_outcome_grid_off_the_signal_lattice_raises():
+    vac = build(VACUUM, q.auto_grid([VACUUM]))
+    lattice = q.outcome_grid(vac, vac, QUARTER_PI, n_points=512)
+    half = 0.5 * vac.grid.step
+    for grid in (
+        q.Grid(lattice.x_min - half, lattice.x_max + half, lattice.n_points),  # offset h / 2
+        q.Grid(lattice.x_min, lattice.x_max + 0.3 * lattice.step, lattice.n_points),  # step
+    ):
+        with pytest.raises(GridMismatchError, match="signal lattice"):
+            q.homodyne_distribution(vac, vac, QUARTER_PI, out_grid=grid)
 
 
 def test_homodyne_rejects_narrow_outcome_grid():

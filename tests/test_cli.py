@@ -206,6 +206,25 @@ def test_optimize_closed_report(tmp_path):
     assert report["tuned_phase"] == pytest.approx(expected_phi, abs=1e-12)
 
 
+def test_optimize_closed_keeps_to_its_bracket(tmp_path, capsys):
+    # F > G on all of [2, 3]: the crossing x_e = 1.33 lies outside the bracket
+    code = main(["optimize", "--mode", "closed", "--x-min", "2", "--x-max", "3",
+                 "--out", str(tmp_path / "bracket")])
+    assert code == 3
+    assert "no sign change on [2.0, 3.0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["optimize", "--mode", "closed"],
+    ["optimize", "--mode", "numeric", "--grid-n", "256"],
+    ["sweep", "--mode", "closed", "--steps", "3", "--x-max", "2"],
+])
+def test_nonpositive_x_min_exits_3_naming_the_flag(tmp_path, capsys, command):
+    code = main([*command, "--x-min", "0", "--out", str(tmp_path / "zero")])
+    assert code == 3
+    assert "--x-min" in capsys.readouterr().err
+
+
 def test_optimize_unresolvable_tolerance_exits_3(tmp_path, capsys):
     code = main(["optimize", "--mode", "closed", "--tol", "1e-20",
                  "--out", str(tmp_path / "tiny")])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qndsim as q
@@ -254,6 +254,7 @@ def per_outcome_state_fidelity(signal, probe, phi, n_outcomes):
     phi=st.floats(0.2, 1.35),
 )
 @settings(max_examples=25, deadline=None)
+@example(separation=2.5, component_variance=0.05, phi=1.35)  # the outcome step is filter-capped
 def test_cat_kernel_routes_match_per_outcome_reference(separation, component_variance, phi):
     spec = q.CatSpec(separation, component_variance)
     cat = q.build_cat(separation, component_variance, q.auto_grid([spec], n_points=256))
@@ -262,6 +263,9 @@ def test_cat_kernel_routes_match_per_outcome_reference(separation, component_var
     assert abs(fidelity - per_outcome_state_fidelity(cat, probe, phi, 128)) < 1e-12
     rho = q.output_ensemble(cat, probe, phi, n_outcomes=128)
     assert abs(rho.expectation(cat) - fidelity) < 1e-12
+    # independent route: double quadrature against the transfer kernel; 1.9e-8 at most over
+    # 300 uniform draws and the 8 corners of the domain
+    assert abs(fidelity - q.state_fidelity_via_transfer(cat, phi, SIGMA_S)) < 1e-7
     g_val = q.distribution_fidelity(cat, probe, phi, n_outcomes=128)
     assert fidelity_pair(cat, probe, phi, n_outcomes=128) == q.FidelityPair(F=fidelity, G=g_val)
 
@@ -276,20 +280,33 @@ def test_fidelity_pair_equals_separate_routes_gaussian():
 
 def test_numeric_curve_makes_one_kernel_pass_per_point(monkeypatch):
     passes = []
-    kernel_blocks = qndsim.chain._kernel_blocks
+    outcome_kernel = qndsim.chain._outcome_kernel
 
     def counting(*args):
-        passes.append(args[3].n_points)
-        return kernel_blocks(*args)
+        passes.append(args[3])
+        return outcome_kernel(*args)
 
-    monkeypatch.setattr(qndsim.chain, "_kernel_blocks", counting)
-    monkeypatch.setattr(qndsim.fidelity, "_kernel_blocks", counting)
+    monkeypatch.setattr(qndsim.chain, "_outcome_kernel", counting)
+    monkeypatch.setattr(qndsim.fidelity, "_outcome_kernel", counting)
     signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=256))
     pairs = q.numeric_trade_off_curve(
         signal, [0.05, 0.25, 1.0], QUARTER_PI, n_outcomes=128, grid_points=256
     )
     assert len(pairs) == 3
-    assert passes == [128, 128, 128]
+    assert len(passes) == 3
+    probe = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=256))
+    q.output_ensemble(signal, probe, QUARTER_PI, n_outcomes=128)
+    assert len(passes) == 4  # one kernel evaluation for the weights and rho alike
+
+
+def test_raw_fidelity_outside_unit_interval_raises():
+    check = qndsim.fidelity._checked_unit
+    assert check(1.0 + 1e-12) == 1.0
+    assert check(-1e-12) == 0.0
+    assert check(0.5) == 0.5
+    for raw in (1.0 + 1e-9 + 1e-6, -1e-9 - 1e-6, float("nan")):
+        with pytest.raises(InvalidParameterError, match="outside"):
+            check(raw)
 
 
 def test_fidelity_pair_sum():
