@@ -20,11 +20,9 @@ import math
 from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import (
     DegeneratePhaseError,
-    GridMismatchError,
     GridTooNarrowError,
     InvalidParameterError,
     NullOutcomeError,
@@ -180,59 +178,31 @@ def beam_splitter_transform(
     return JointWaveFunction(out_grid1, out_grid2, amp)
 
 
-def _outcome_span(
-    signal: WaveFunction, probe: WaveFunction, phi: float, sigmas: float
-) -> tuple[float, float]:
-    """Mean -/+ sigmas combined sigma, sqrt(sigma_s^2 + sigma_p^2 / tan^2 phi)."""
-    check_phase(phi)
-    t = math.tan(phi)
-    center = signal.mean() - probe.mean() / t
-    halfspan = sigmas * math.sqrt(signal.variance() + probe.variance() / t**2)
-    return center - halfspan, center + halfspan
-
-
 def outcome_grid(
     signal: WaveFunction,
     probe: WaveFunction,
     phi: float,
     n_points: int | None = None,
-    span_sigmas: float = OUTCOME_SPAN_SIGMAS,
 ) -> Grid:
     """Outcome nodes y_0 + (o + k j) h on the signal lattice (x_min y_0, step h, integer o,
-    possibly negative), covering mean +/- span_sigmas combined sigma.
+    possibly negative), covering mean +/- OUTCOME_SPAN_SIGMAS combined sigma.
 
     n_points (default: the signal's) sets k = max(1, round(r / h)), r the step of n_points
     nodes over the span, capped so that k h is within the filter width sigma_p / tan phi,
     which p and F must resolve.  The node count follows from span and k: rarely n_points.
     """
-    lo, hi = _outcome_span(signal, probe, phi, span_sigmas)
+    check_phase(phi)
+    t = math.tan(phi)
+    center = signal.mean() - probe.mean() / t
+    halfspan = OUTCOME_SPAN_SIGMAS * math.sqrt(signal.variance() + probe.variance() / t**2)
+    lo, hi = center - halfspan, center + halfspan
     requested = Grid(lo, hi, n_points or signal.grid.n_points)
     y0, h = signal.grid.x_min, signal.grid.step
-    filter_width = math.sqrt(probe.variance()) / math.tan(phi)
+    filter_width = math.sqrt(probe.variance()) / t
     k = max(1, min(round(requested.step / h), math.floor(filter_width / h)))
     first = math.floor((lo - y0) / h)
     last = first + k * math.ceil(((hi - y0) / h - first) / k)
     return Grid(y0 + first * h, y0 + last * h, (last - first) // k + 1)
-
-
-def _outcome_kernel(
-    signal: WaveFunction, probe: WaveFunction, phi: float, out_grid: Grid
-) -> tuple[np.ndarray, np.ndarray]:
-    """kappa, and K(x0_j, y_i) = psi_p(tan(phi) (y_i - x0_j)) = kappa[i + k (M - 1 - j)] as a
-    read-only (M, N) strided view of kappa: kappa[e] = psi_p(tan(phi) h (e - o - k (M - 1))).
-    GridMismatchError unless out_grid's nodes y_0 + (o + k j) h are on the lattice within 1e-9 h.
-    """
-    y0, h, n, m = signal.grid.x_min, signal.grid.step, signal.grid.n_points, out_grid.n_points
-    first, k = round((out_grid.x_min - y0) / h), round(out_grid.step / h)
-    last = first + k * (m - 1)
-    off = max(abs(out_grid.x_min - y0 - first * h), abs(out_grid.x_max - y0 - last * h))
-    if k < 1 or off > 1e-9 * h:
-        raise GridMismatchError(
-            f"outcome grid [{out_grid.x_min}, {out_grid.x_max}] x {m} is off the signal "
-            f"lattice {y0} + integer x {h}; build it with outcome_grid"
-        )
-    kappa = amplitude_interpolator(probe)((np.arange(n + k * (m - 1)) - last) * (math.tan(phi) * h))
-    return kappa, sliding_window_view(kappa, n)[::-k]
 
 
 def _row_sums(values: np.ndarray, mass: np.ndarray, rows: int) -> np.ndarray:
@@ -244,30 +214,41 @@ def _row_sums(values: np.ndarray, mass: np.ndarray, rows: int) -> np.ndarray:
     return np.fft.ifft(spectrum)[k * (rows - 1) :: -k]
 
 
+def _outcome_pass(
+    signal: WaveFunction, probe: WaveFunction, phi: float, n_outcomes: int | None
+) -> tuple[Grid, np.ndarray, np.ndarray, np.ndarray]:
+    """The one kernel pass behind p, F, G and rho, on `outcome_grid(n_points=n_outcomes)`.
+
+    kappa[e] = psi_p(tan(phi) h (e - o - k (M - 1))) on the signal lattice (step h), so
+    K(x0_j, y_i) = psi_p(tan(phi) (y_i - x0_j)) = kappa[i + k (M - 1 - j)].  Returns the
+    grid, p_raw = t sum_y |K|^2 m and A = sum_y K m (m = |psi_s|^2 w, both by FFT
+    correlation) and K as a read-only (M, N) strided view of kappa.
+    """
+    ogrid = outcome_grid(signal, probe, phi, n_points=n_outcomes)
+    y0, h, n, m = signal.grid.x_min, signal.grid.step, signal.grid.n_points, ogrid.n_points
+    k = round(ogrid.step / h)
+    last = round((ogrid.x_min - y0) / h) + k * (m - 1)
+    t = math.tan(phi)
+    kappa = amplitude_interpolator(probe)((np.arange(n + k * (m - 1)) - last) * (t * h))
+    mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
+    p_raw = t * _row_sums(np.abs(kappa) ** 2, mass, m).real
+    return ogrid, p_raw, _row_sums(kappa, mass, m), sliding_window_view(kappa, n)[::-k]
+
+
 def homodyne_distribution(
     signal: WaveFunction,
     probe: WaveFunction,
     phi: float,
-    out_grid: Grid | None = None,
+    n_outcomes: int | None = None,
 ) -> Distribution:
     """Density of the inferred outcome x0 = -X / sin(phi).
 
-    p(x0) = tan(phi) * int |psi_s(y)|^2 |psi_p(tan(phi) (y - x0))|^2 dy, a correlation of
-    |kappa|^2 with |psi_s|^2 w on the signal grid (no joint state).  out_grid must
-    cover mean +/- 8 combined sigma and lie on the signal lattice (`outcome_grid`).
+    p(x0) = tan(phi) * int |psi_s(y)|^2 |psi_p(tan(phi) (y - x0))|^2 dy on
+    `outcome_grid(n_points=n_outcomes)` (default: the signal's node count), from the
+    one outcome pass (no joint state).
     """
-    lo, hi = _outcome_span(signal, probe, phi, OUTCOME_SPAN_SIGMAS)
-    if out_grid is None:
-        out_grid = outcome_grid(signal, probe, phi)
-    elif not out_grid.covers(lo, hi):
-        raise GridTooNarrowError(
-            f"outcome grid [{out_grid.x_min}, {out_grid.x_max}] must cover mean +/- "
-            f"{OUTCOME_SPAN_SIGMAS} combined sigma, i.e. [{lo}, {hi}]"
-        )
-    kappa, _ = _outcome_kernel(signal, probe, phi, out_grid)
-    mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
-    p_raw = math.tan(phi) * _row_sums(np.abs(kappa) ** 2, mass, out_grid.n_points).real
-    return Distribution.normalized(out_grid, p_raw)
+    ogrid, p_raw, _, _ = _outcome_pass(signal, probe, phi, n_outcomes)
+    return Distribution.normalized(ogrid, p_raw)
 
 
 def _filtered_outcome(
@@ -363,7 +344,8 @@ def sample_outcomes(dist: Distribution, count: int, seed: int) -> np.ndarray:
     """
     if count <= 0:
         raise InvalidParameterError(f"sample count must be positive, got {count}")
-    cdf = cumulative_trapezoid(dist.density, dist.grid.points, initial=0.0)
+    x, y = dist.grid.points, dist.density
+    cdf = np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
     cdf = cdf / cdf[-1]
     u = np.random.default_rng(seed).random(count)
     idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, dist.grid.n_points - 2)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .chain import (
     beam_splitter_transform, conditional_output, conditional_state_raw, feedback_displace,
-    homodyne_distribution, outcome_grid, output_squeeze,
+    homodyne_distribution, output_squeeze,
 )
 from .grids import GaussianSpec, Grid, WaveFunction, auto_grid, build_gaussian, overlap
 
@@ -81,8 +81,7 @@ def squeezed_limit() -> tuple[float, ...]:
     filter_var = 1e-4 * SIGNAL.variance
     signal = _build(SIGNAL, n_points=4096)
     probe = _build(GaussianSpec(0.0, filter_var * math.tan(QUARTER_PI) ** 2))
-    ogrid = outcome_grid(signal, probe, QUARTER_PI, n_points=2048)
-    p = homodyne_distribution(signal, probe, QUARTER_PI, out_grid=ogrid)
+    p = homodyne_distribution(signal, probe, QUARTER_PI, n_outcomes=2048)
     intrinsic = _gaussian_density(p.grid.points, 0.0, SIGNAL.variance)
     worst_std = worst_center = 0.0
     for x0 in (-0.4, 0.0, 0.3):

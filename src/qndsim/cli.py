@@ -180,6 +180,9 @@ def _signal_text(signal_arg: tuple[str, object]) -> str:
 
 
 def _check_bracket(args: argparse.Namespace) -> None:
+    for flag, value in (("--x-min", args.x_min), ("--x-max", args.x_max)):
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{flag} must be finite, got {value}")
     if not 0 < args.x_min < args.x_max:
         raise InvalidParameterError(f"need 0 < --x-min < --x-max, got [{args.x_min}, {args.x_max}]")
 

@@ -21,10 +21,11 @@ the quadrature weights and m = |psi_s|^2 w the signal mass:
   distribution fid. G = ( int sqrt(p(x0) / Z) |psi_s(x0)| dx0 )^2 on the same outcomes
   output ensemble   rho(x, x') = psi_s(x) psi_s*(x') (t / Z) int K(x0, x) K*(x0, x') dx0
 
-K is a view of one vector on lattice-aligned outcomes (`chain._outcome_kernel`); p and
-A are its FFT correlations with m.  Outcomes with normalized density at most
-NULL_OUTCOME_DENSITY are left out of F and rho.  F, G and rho raise InvalidParameterError
-rather than return values the grids cannot resolve, or raw F, G off [0, 1] by UNIT_SLACK.
+One outcome pass (`chain._outcome_pass`) gives the lattice-aligned outcome grid, p and A
+as FFT correlations with m, and K as a view of one vector; `_outcome_figures` reads F, G
+and rho's weights off it.  Outcomes with normalized density at most NULL_OUTCOME_DENSITY
+are left out of F and rho.  F, G and rho raise InvalidParameterError rather than return
+values the grids cannot resolve, or raw F, G off [0, 1] by UNIT_SLACK.
 """
 
 from __future__ import annotations
@@ -35,14 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import zgemm
 
-from .chain import (
-    NULL_OUTCOME_DENSITY,
-    _outcome_kernel,
-    _row_sums,
-    check_phase,
-    homodyne_distribution,
-    outcome_grid,
-)
+from .chain import NULL_OUTCOME_DENSITY, _outcome_pass, check_phase
 from .errors import GridMismatchError, InvalidParameterError, ResourceLimitError
 from .grids import Distribution, Grid, WaveFunction, amplitude_interpolator
 
@@ -76,35 +70,31 @@ def _checked_unit(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _outcome_weights(
-    signal: WaveFunction, probe: WaveFunction, phi: float, ogrid: Grid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Outcome weight t w / Z (0 where p is null), A(x0), normalized p(x0) and the view K."""
-    t = math.tan(phi)
-    mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
-    kappa, kernel = _outcome_kernel(signal, probe, phi, ogrid)
-    p_raw = t * _row_sums(np.abs(kappa) ** 2, mass, ogrid.n_points).real  # homodyne's, bitwise
-    amp = _row_sums(kappa, mass, ogrid.n_points)
-    density = Distribution.normalized(ogrid, p_raw).density
-    z = float(ogrid.weights @ p_raw)
-    weight = np.where(density > NULL_OUTCOME_DENSITY, t * ogrid.weights / z, 0.0)
-    return weight, amp, density, kernel
+@dataclass(frozen=True, eq=False)
+class _OutcomeFigures:
+    """Raw F and G, the outcome weight t w / Z (0 where p is null) and the view K."""
+
+    f_raw: float
+    g_raw: float
+    weight: np.ndarray
+    kernel: np.ndarray
 
 
-def _resolved_outcome_grid(
+def _outcome_figures(
     signal: WaveFunction, probe: WaveFunction, phi: float, n_outcomes: int
-) -> tuple[Grid, np.ndarray]:
-    """The outcome grid for F, G and rho, and |psi_s| on it; raises InvalidParameterError
-    unless the probe filter (width sigma_p / tan phi) spans a signal grid step and the
-    outcome grid's trapezoid of |psi_s|^2 is 1 within OUTCOME_MASS_SLACK."""
+) -> _OutcomeFigures:
+    """F, G and rho's inputs from one outcome pass; raises InvalidParameterError unless the
+    probe filter (width sigma_p / tan phi) spans a signal grid step and the outcome grid's
+    trapezoid of |psi_s|^2 is 1 within OUTCOME_MASS_SLACK."""
     check_phase(phi)
-    filter_width = math.sqrt(probe.variance()) / math.tan(phi)
+    t = math.tan(phi)
+    filter_width = math.sqrt(probe.variance()) / t
     if filter_width < signal.grid.step:
         raise InvalidParameterError(
             f"probe filter width {filter_width:.3g} is below the signal grid step "
             f"{signal.grid.step:.3g}: F and G are not resolved; use a finer signal grid"
         )
-    ogrid = outcome_grid(signal, probe, phi, n_points=n_outcomes)
+    ogrid, p_raw, amp, kernel = _outcome_pass(signal, probe, phi, n_outcomes)
     s_abs = np.abs(amplitude_interpolator(signal)(ogrid.points))
     mass = float(ogrid.weights @ s_abs**2)
     if abs(mass - 1.0) > OUTCOME_MASS_SLACK:
@@ -112,42 +102,11 @@ def _resolved_outcome_grid(
             f"outcome grid (step {ogrid.step:.3g}) integrates |psi_s|^2 to {mass:.3g}, not "
             f"1 +/- {OUTCOME_MASS_SLACK}: F and G are not resolved; use more outcome nodes"
         )
-    return ogrid, s_abs
-
-
-def _bhattacharyya_squared(ogrid: Grid, density: np.ndarray, s_abs: np.ndarray) -> float:
-    """G from the normalized outcome density and |psi_s| on ogrid."""
+    density = Distribution.normalized(ogrid, p_raw).density
+    z = float(ogrid.weights @ p_raw)
+    weight = np.where(density > NULL_OUTCOME_DENSITY, t * ogrid.weights / z, 0.0)
     coeff = float(ogrid.weights @ (np.sqrt(density) * s_abs))
-    return _checked_unit(coeff * coeff)
-
-
-def state_fidelity(
-    signal: WaveFunction,
-    probe: WaveFunction,
-    phi: float,
-    n_outcomes: int = OUTCOME_NODES,
-) -> float:
-    """Outcome-averaged overlap of the conditional outputs with the input.
-
-    Outer trapezoidal quadrature over an outcome grid spanning 8 combined
-    standard deviations; outcomes below the null-density threshold are
-    skipped (their weight is negligible by construction).
-    """
-    ogrid, _ = _resolved_outcome_grid(signal, probe, phi, n_outcomes)
-    weight, amp, _, _ = _outcome_weights(signal, probe, phi, ogrid)
-    return _checked_unit(float(weight @ np.abs(amp) ** 2))
-
-
-def distribution_fidelity(
-    signal: WaveFunction,
-    probe: WaveFunction,
-    phi: float,
-    n_outcomes: int = OUTCOME_NODES,
-) -> float:
-    """Squared Bhattacharyya coefficient between p(x0) and |psi_s(x)|^2."""
-    ogrid, s_abs = _resolved_outcome_grid(signal, probe, phi, n_outcomes)
-    p = homodyne_distribution(signal, probe, phi, out_grid=ogrid)
-    return _bhattacharyya_squared(ogrid, p.density, s_abs)
+    return _OutcomeFigures(float(weight @ np.abs(amp) ** 2), coeff * coeff, weight, kernel)
 
 
 def fidelity_pair(
@@ -156,24 +115,44 @@ def fidelity_pair(
     phi: float,
     n_outcomes: int = OUTCOME_NODES,
 ) -> FidelityPair:
-    """F and G from one kernel evaluation, equal to `state_fidelity` and `distribution_fidelity`."""
-    ogrid, s_abs = _resolved_outcome_grid(signal, probe, phi, n_outcomes)
-    weight, amp, density, _ = _outcome_weights(signal, probe, phi, ogrid)
-    f_val = _checked_unit(float(weight @ np.abs(amp) ** 2))
-    return FidelityPair(F=f_val, G=_bhattacharyya_squared(ogrid, density, s_abs))
+    """F, the outcome-averaged overlap of the conditional outputs with the input, and G, the
+    squared Bhattacharyya coefficient between p(x0) and |psi_s(x)|^2, from one outcome pass.
+    Null outcomes are skipped in F (their weight is negligible by construction)."""
+    figures = _outcome_figures(signal, probe, phi, n_outcomes)
+    return FidelityPair(F=_checked_unit(figures.f_raw), G=_checked_unit(figures.g_raw))
+
+
+def state_fidelity(
+    signal: WaveFunction,
+    probe: WaveFunction,
+    phi: float,
+    n_outcomes: int = OUTCOME_NODES,
+) -> float:
+    """State fidelity F, the outcome-averaged overlap with the input: `fidelity_pair(...).F`."""
+    return fidelity_pair(signal, probe, phi, n_outcomes).F
+
+
+def distribution_fidelity(
+    signal: WaveFunction,
+    probe: WaveFunction,
+    phi: float,
+    n_outcomes: int = OUTCOME_NODES,
+) -> float:
+    """Distribution fidelity G between p(x0) and |psi_s(x)|^2: `fidelity_pair(...).G`."""
+    return fidelity_pair(signal, probe, phi, n_outcomes).G
 
 
 def gaussian_state_fidelity(x: float) -> float:
     """Closed-form F = sqrt(2) x / sqrt(1 + 2 x^2) for Gaussian signal and probe."""
-    if x <= 0:
-        raise InvalidParameterError(f"filter ratio x must be positive, got {x}")
+    if not (x > 0 and math.isfinite(2.0 * x * x)):
+        raise InvalidParameterError(f"filter ratio x must be positive with 2 x^2 finite, got {x}")
     return math.sqrt(2.0) * x / math.sqrt(1.0 + 2.0 * x * x)
 
 
 def gaussian_distribution_fidelity(x: float) -> float:
     """Closed-form G = 2 sqrt(1 + x^2) / (2 + x^2) for Gaussian signal and probe."""
-    if x <= 0:
-        raise InvalidParameterError(f"filter ratio x must be positive, got {x}")
+    if not (x > 0 and math.isfinite(2.0 * x * x)):
+        raise InvalidParameterError(f"filter ratio x must be positive with 2 x^2 finite, got {x}")
     return 2.0 * math.sqrt(1.0 + x * x) / (2.0 + x * x)
 
 
@@ -249,10 +228,9 @@ def output_ensemble(
             f"ensemble kernel needs n_points <= {ENSEMBLE_POINT_CAP}, got {n} "
             "(memory grows quadratically)"
         )
-    ogrid, _ = _resolved_outcome_grid(signal, probe, phi, n_outcomes)
-    weight, _, _, kernel = _outcome_weights(signal, probe, phi, ogrid)
-    live = weight > 0.0
-    rows = kernel[live]  # the one copy of K: its non-null rows
+    figures = _outcome_figures(signal, probe, phi, n_outcomes)
+    live = figures.weight > 0.0
+    rows = figures.kernel[live]  # the one copy of K: its non-null rows
     rows *= signal.amplitudes
-    rows *= np.sqrt(weight[live])[:, None]  # row x0: sqrt(t w / Z) psi_s(x) K(x0, x)
+    rows *= np.sqrt(figures.weight[live])[:, None]  # row x0: sqrt(t w / Z) psi_s(x) K(x0, x)
     return DensityMatrixGrid(signal.grid, zgemm(1.0, rows.T, rows.T, trans_b=2))

@@ -225,6 +225,19 @@ def test_nonpositive_x_min_exits_3_naming_the_flag(tmp_path, capsys, command):
     assert "--x-min" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x_max, message", [
+    ("inf", "--x-max must be finite"),
+    ("1e308", "2 x^2 finite"),  # finite, but the closed forms overflow
+])
+def test_closed_sweep_with_huge_bracket_exits_3(tmp_path, capsys, x_max, message):
+    out = tmp_path / "huge"
+    code = main(["sweep", "--mode", "closed", "--x-min", "0.1", "--x-max", x_max,
+                 "--steps", "3", "--out", str(out)])
+    assert code == 3
+    assert message in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_optimize_unresolvable_tolerance_exits_3(tmp_path, capsys):
     code = main(["optimize", "--mode", "closed", "--tol", "1e-20",
                  "--out", str(tmp_path / "tiny")])

@@ -48,6 +48,13 @@ def test_gaussian_distribution_fidelity_values():
         q.gaussian_distribution_fidelity(0.0)
 
 
+@pytest.mark.parametrize("x", [9.5e153, 1e308, math.inf, math.nan])  # 2 x^2 overflows or is NaN
+def test_closed_forms_refuse_ratios_they_cannot_evaluate(x):
+    for closed_form in (q.gaussian_state_fidelity, q.gaussian_distribution_fidelity):
+        with pytest.raises(InvalidParameterError, match="2 x\\^2 finite"):
+            closed_form(x)
+
+
 def test_closed_forms_on_lattice():
     xs = np.linspace(1e-3, 50.0, 1000)
     f_vals = np.array([q.gaussian_state_fidelity(float(x)) for x in xs])
@@ -238,14 +245,25 @@ def test_state_fidelity_closed_form_increasing(x, bump):
 
 def per_outcome_state_fidelity(signal, probe, phi, n_outcomes):
     """F as a sum over outcomes of p(x0) |<psi_s|psi_x0>|^2, one state at a time."""
-    ogrid = q.outcome_grid(signal, probe, phi, n_points=n_outcomes)
-    p = q.homodyne_distribution(signal, probe, phi, out_grid=ogrid)
-    total = 0.0
+    p = q.homodyne_distribution(signal, probe, phi, n_outcomes=n_outcomes)
+    ogrid, total = p.grid, 0.0
     for x0, w, dens in zip(ogrid.points, ogrid.weights, p.density):
         if dens > NULL_OUTCOME_DENSITY:
             psi = q.conditional_output(signal, probe, phi, float(x0))
             total += w * dens * abs(q.overlap(signal, psi)) ** 2
     return total
+
+
+def direct_sum_distribution_fidelity(signal, probe, phi, n_outcomes):
+    """G with p summed directly over the one-shot kernel psi_p(t (y - x0)): no FFT."""
+    t = math.tan(phi)
+    ogrid = q.outcome_grid(signal, probe, phi, n_points=n_outcomes)
+    y, x0 = signal.grid.points, ogrid.points
+    kernel = q.grids.amplitude_interpolator(probe)(t * (y[None, :] - x0[:, None]))
+    mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
+    p = q.Distribution.normalized(ogrid, t * (np.abs(kernel) ** 2 @ mass))
+    s_abs = np.abs(q.grids.amplitude_interpolator(signal)(x0))
+    return float(ogrid.weights @ (np.sqrt(p.density) * s_abs)) ** 2
 
 
 @given(
@@ -266,28 +284,29 @@ def test_cat_kernel_routes_match_per_outcome_reference(separation, component_var
     # independent route: double quadrature against the transfer kernel; 1.9e-8 at most over
     # 300 uniform draws and the 8 corners of the domain
     assert abs(fidelity - q.state_fidelity_via_transfer(cat, phi, SIGMA_S)) < 1e-7
+    # G against the direct-sum route: 5.6e-16 at most over 300 uniform draws and the corners
     g_val = q.distribution_fidelity(cat, probe, phi, n_outcomes=128)
-    assert fidelity_pair(cat, probe, phi, n_outcomes=128) == q.FidelityPair(F=fidelity, G=g_val)
+    assert abs(g_val - direct_sum_distribution_fidelity(cat, probe, phi, 128)) < 1e-14
 
 
-def test_fidelity_pair_equals_separate_routes_gaussian():
+def test_distribution_fidelity_matches_direct_sum_gaussian():
     signal, probe = gaussian_pair(0.8, n_points=1024, phi=0.6)
-    separate = q.FidelityPair(
-        F=q.state_fidelity(signal, probe, 0.6), G=q.distribution_fidelity(signal, probe, 0.6)
-    )
-    assert fidelity_pair(signal, probe, 0.6) == separate
+    pair = fidelity_pair(signal, probe, 0.6)
+    # equal here to the last bit; the closed form is 1.5e-11 away
+    assert abs(pair.G - direct_sum_distribution_fidelity(signal, probe, 0.6, 1024)) < 1e-14
+    assert abs(pair.G - q.gaussian_distribution_fidelity(0.8)) < 1e-10
 
 
 def test_numeric_curve_makes_one_kernel_pass_per_point(monkeypatch):
     passes = []
-    outcome_kernel = qndsim.chain._outcome_kernel
+    outcome_pass = qndsim.chain._outcome_pass
 
     def counting(*args):
         passes.append(args[3])
-        return outcome_kernel(*args)
+        return outcome_pass(*args)
 
-    monkeypatch.setattr(qndsim.chain, "_outcome_kernel", counting)
-    monkeypatch.setattr(qndsim.fidelity, "_outcome_kernel", counting)
+    monkeypatch.setattr(qndsim.chain, "_outcome_pass", counting)
+    monkeypatch.setattr(qndsim.fidelity, "_outcome_pass", counting)
     signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=256))
     pairs = q.numeric_trade_off_curve(
         signal, [0.05, 0.25, 1.0], QUARTER_PI, n_outcomes=128, grid_points=256
@@ -297,6 +316,7 @@ def test_numeric_curve_makes_one_kernel_pass_per_point(monkeypatch):
     probe = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=256))
     q.output_ensemble(signal, probe, QUARTER_PI, n_outcomes=128)
     assert len(passes) == 4  # one kernel evaluation for the weights and rho alike
+    assert passes == [128] * 4
 
 
 def test_raw_fidelity_outside_unit_interval_raises():
