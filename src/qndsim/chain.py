@@ -33,6 +33,8 @@ from .grids import (
     Grid,
     GridPolicy,
     WaveFunction,
+    _hermite_coefficients,
+    _spline_slopes,
     amplitude_interpolator,
 )
 
@@ -99,18 +101,27 @@ class JointWaveFunction:
     def conditioned_on_mode2(self, reading: float) -> WaveFunction:
         """Mode-1 state after a sharp mode-2 projection at the given reading.
 
-        The amplitude matrix is cubic-interpolated along mode 2 and the
-        resulting slice is renormalized.
+        Every row of the amplitude matrix is fitted with scipy's not-a-knot spline along
+        mode 2 (one multi-column solve), only the reading's interval is formed, and the
+        resulting slice is renormalized.  The slice equals
+        `CubicSpline(grid2.points, A, axis=1)(reading)` bit for bit: the same interval
+        (half-open, the last one closed, the end ones extended by the covers() slack)
+        and PPoly's sum c3 + c2 s + c1 s^2 + c0 (s^2 s).
         """
-        from scipy.interpolate import CubicSpline
-
         if not self.grid2.covers(reading, reading):
             raise GridTooNarrowError(
                 f"mode-2 reading {reading} lies outside the grid "
                 f"[{self.grid2.x_min}, {self.grid2.x_max}]"
             )
-        spline = CubicSpline(self.grid2.points, self.amplitudes, axis=1)
-        return WaveFunction.normalized(self.grid1, spline(reading))
+        knots, columns = self.grid2.points, self.amplitudes.T
+        s, slope = _spline_slopes(knots, columns)
+        i = min(max(int(np.searchsorted(knots, reading, side="right")) - 1, 0), knots.size - 2)
+        c0, c1, c2, c3 = _hermite_coefficients(
+            knots[i + 1] - knots[i], columns[i], s[i], s[i + 1], slope[i]
+        )
+        u = reading - knots[i]
+        u2 = u * u
+        return WaveFunction.normalized(self.grid1, c3 + c2 * u + c1 * u2 + c0 * (u2 * u))
 
 
 @dataclass(frozen=True)
@@ -205,13 +216,15 @@ def outcome_grid(
     return Grid(y0 + first * h, y0 + last * h, (last - first) // k + 1)
 
 
-def _row_sums(values: np.ndarray, mass: np.ndarray, rows: int) -> np.ndarray:
-    """Row j < rows: sum_i values[i + k (rows - 1 - j)] mass[i], k = (len(values) - len(mass))
-    / (rows - 1), by one FFT correlation; with values = kappa, K @ mass without forming K."""
-    k = (values.size - mass.size) // (rows - 1)
-    size = 1 << (values.size - 1).bit_length()  # >= len(values): no wrap-around
-    spectrum = np.fft.fft(values, size) * np.conj(np.fft.fft(mass, size))
-    return np.fft.ifft(spectrum)[k * (rows - 1) :: -k]
+def _row_sums(values: np.ndarray, mass_hat: np.ndarray, n: int, rows: int) -> np.ndarray:
+    """Row j < rows: sum_i values[i + k (rows - 1 - j)] mass[i], k = (len(values) - n)
+    / (rows - 1), by one FFT correlation; with values = kappa, K @ mass without forming K.
+
+    mass_hat = conj(fft(mass, size)) for the n-point mass, size a power of two
+    >= len(values) (no wrap-around); the caller transforms the mass once for all its sums.
+    """
+    k = (values.size - n) // (rows - 1)
+    return np.fft.ifft(np.fft.fft(values, mass_hat.size) * mass_hat)[k * (rows - 1) :: -k]
 
 
 def _outcome_pass(
@@ -222,7 +235,8 @@ def _outcome_pass(
     kappa[e] = psi_p(tan(phi) h (e - o - k (M - 1))) on the signal lattice (step h), so
     K(x0_j, y_i) = psi_p(tan(phi) (y_i - x0_j)) = kappa[i + k (M - 1 - j)].  Returns the
     grid, p_raw = t sum_y |K|^2 m and A = sum_y K m (m = |psi_s|^2 w, both by FFT
-    correlation) and K as a read-only (M, N) strided view of kappa.
+    correlation against one transform of m) and K as a read-only (M, N) strided view of
+    kappa.
     """
     ogrid = outcome_grid(signal, probe, phi, n_points=n_outcomes)
     y0, h, n, m = signal.grid.x_min, signal.grid.step, signal.grid.n_points, ogrid.n_points
@@ -231,8 +245,9 @@ def _outcome_pass(
     t = math.tan(phi)
     kappa = amplitude_interpolator(probe)((np.arange(n + k * (m - 1)) - last) * (t * h))
     mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
-    p_raw = t * _row_sums(np.abs(kappa) ** 2, mass, m).real
-    return ogrid, p_raw, _row_sums(kappa, mass, m), sliding_window_view(kappa, n)[::-k]
+    mass_hat = np.conj(np.fft.fft(mass, 1 << (kappa.size - 1).bit_length()))
+    p_raw = t * _row_sums(np.abs(kappa) ** 2, mass_hat, n, m).real
+    return ogrid, p_raw, _row_sums(kappa, mass_hat, n, m), sliding_window_view(kappa, n)[::-k]
 
 
 def homodyne_distribution(

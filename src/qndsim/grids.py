@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv, zgtsv
 
 from .errors import GridMismatchError, GridTooNarrowError, InvalidParameterError
 
@@ -323,14 +323,55 @@ def parse_state_spec(text: str) -> StateSpec:
     raise InvalidParameterError(f"unknown state kind {kind!r} in {text!r}")
 
 
+def _spline_slopes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knot derivatives and secant slopes of the not-a-knot cubic spline through (x, y[i]).
+
+    y holds one curve per column (axis 0 runs along x, len(x) >= 4).  This is scipy's
+    `CubicSpline(x, y, axis=0)` system, bit for bit: the same band and right-hand side,
+    solved for all columns by one LAPACK ?gtsv call on the band cast to y's dtype, as
+    `solve_banded((1, 1))` does.  Complex y must stay complex: dgtsv on the real part
+    does not give the bits of zgtsv's real part.
+    """
+    n = x.size
+    dx = np.diff(x)
+    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    # the band: sub-, main and super-diagonal, with the not-a-knot end rows
+    lower, diag, upper = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    upper[1:] = dx[:-1]
+    lower[:-1] = dx[1:]
+    diag[0], upper[0] = dx[1], x[2] - x[0]
+    diag[-1], lower[-1] = dx[-2], x[-1] - x[-3]
+    rhs = np.empty_like(y)  # y's memory order: F-ordered columns are solved in place
+    rhs[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    d = x[2] - x[0]
+    rhs[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    rhs[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    gtsv = zgtsv if np.iscomplexobj(y) else dgtsv
+    *_, derivs, info = gtsv(lower, diag, upper, rhs.reshape(n, -1), 1, 1, 1, 1)
+    if info:
+        raise InvalidParameterError(f"spline system is singular (?gtsv info {info})")
+    return derivs.reshape(y.shape), slope
+
+
+def _hermite_coefficients(h, y, s0, s1, slope) -> tuple[np.ndarray, ...]:
+    """Cubic pieces c0 s^3 + c1 s^2 + c2 s + c3 (returned highest power first) of width h,
+    left value y, end derivatives s0, s1 and secant slope: `CubicHermiteSpline`'s formulas."""
+    t = (s0 + s1 - 2 * slope) / h
+    return t / h, (slope - s0) / h - t, s0, y
+
+
 def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:
     """Cubic-spline evaluator for the amplitudes, zero outside the grid.
 
     `evaluate(x)` returns complex values of x's shape.  Points outside
     [x_min, x_max], NaN and +/-inf included, give 0.
 
-    The spline is scipy's `CubicSpline` (not-a-knot) fitted on the grid, and
-    the values equal `CubicSpline.__call__` bit for bit: the same interval
+    The spline is scipy's `CubicSpline` (not-a-knot) on the grid, fitted in
+    place by `_spline_slopes` (one LAPACK zgtsv call, no scipy.interpolate),
+    and the values equal `CubicSpline.__call__` bit for bit: the same interval
     (half-open, the last one closed), the same s = x - knot, and the same
     sum c3 + c2 s + c1 s^2 + c0 s^3 with s^3 = s^2 s.  Only the interval
     search is replaced: the knots are uniform, so (x - x_min) / step + 1/2
@@ -344,8 +385,9 @@ def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:
     cached = wf.__dict__.get("_cached_interpolator")
     if cached is not None:
         return cached
-    knots = wf.grid.points
-    coef = CubicSpline(knots, wf.amplitudes).c  # (4, n - 1), highest power first
+    knots, amps = wf.grid.points, wf.amplitudes
+    s, slope = _spline_slopes(knots, amps)
+    coef = np.stack(_hermite_coefficients(np.diff(knots), amps[:-1], s[:-1], s[1:], slope))
     lo, hi, n = wf.grid.x_min, wf.grid.x_max, wf.grid.n_points
     inv_step = 1.0 / wf.grid.step
     # Tables indexed by k = interval + 1.  k = 0 (below x_min, NaN) and k = n

@@ -1,6 +1,7 @@
 """Measurement-chain operations against analytic and cross-route oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,40 @@ def test_conditional_raw_matches_joint_slice():
     sliced = joint.conditioned_on_mode2(-x0 * math.sin(phi))
     raw = q.conditional_state_raw(signal, probe, phi, x0, out_grid=joint.grid1)
     assert l2_distance(sliced, raw) < 1e-5
+
+
+def readout_joint_state(n_points, chirp=0.0):
+    """Cat signal and vacuum probe mixed at phi = 0.7, as the readout benchmark does."""
+    spec = q.CatSpec(2.0, 0.25)
+    policy = q.GridPolicy(n_points=n_points)
+    grid = policy.grid_for([spec])
+    cat = q.build_cat(spec.separation, spec.component_variance, grid)
+    signal = q.WaveFunction(grid, cat.amplitudes * np.exp(1j * chirp * grid.points))
+    probe = build(VACUUM, policy.grid_for([VACUUM]))
+    return q.beam_splitter_transform(signal, probe, 0.7)
+
+
+@pytest.mark.parametrize("chirp", [0.0, 1.3])  # 0: zero imaginary parts
+def test_conditioned_on_mode2_matches_cubic_spline_bitwise(chirp):
+    joint = readout_joint_state(300, chirp)
+    knots = joint.grid2.points
+    spline = CubicSpline(knots, joint.amplitudes, axis=1)
+    for reading in (knots[140], np.nextafter(knots[140], np.inf), joint.grid2.x_max):
+        expected = q.WaveFunction.normalized(joint.grid1, spline(float(reading))).amplitudes
+        got = joint.conditioned_on_mode2(float(reading)).amplitudes
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_conditioned_on_mode2_forms_one_interval():
+    # fitting whole coefficient arrays peaked at 117 MB on this 768 x 768 state
+    joint = readout_joint_state(768)
+    tracemalloc.start()
+    try:
+        joint.conditioned_on_mode2(-0.37)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
 
 
 def test_conditional_raw_vacuum_pair_at_origin():

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +242,15 @@ def test_closed_sweep_with_huge_bracket_exits_3(tmp_path, capsys, x_max, message
     assert not (out / "sweep.csv").exists()
 
 
+def test_closed_sweep_keeps_f_at_most_one_for_large_x(tmp_path):
+    # sqrt(2) x / sqrt(1 + 2 x^2) rounds to 1 + 2^-52 at both x
+    out = tmp_path / "large"
+    assert main(["sweep", "--mode", "closed", "--x-min", "1e12", "--x-max", "2e12",
+                 "--steps", "2", "--out", str(out)]) == 0
+    _, rows = read_csv(out / "sweep.csv")
+    assert np.all((rows[:, 1:3] >= 0.0) & (rows[:, 1:3] <= 1.0))
+
+
 def test_optimize_unresolvable_tolerance_exits_3(tmp_path, capsys):
     code = main(["optimize", "--mode", "closed", "--tol", "1e-20",
                  "--out", str(tmp_path / "tiny")])
@@ -294,3 +307,15 @@ def test_csv_values_round_trip_exactly(tmp_path):
     for x, f_val, g_val, _ in rows:
         assert f_val == q.gaussian_state_fidelity(x)
         assert g_val == q.gaussian_distribution_fidelity(x)
+
+
+def test_cli_import_leaves_out_scipy_interpolate_special_and_optimize():
+    # splines are fitted with scipy.linalg's LAPACK alone; the rest of scipy stays unloaded
+    code = "import sys, qndsim.cli; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(q.__file__).parents[1])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "qndsim.cli" in loaded
+    for package in ("scipy.interpolate", "scipy.special", "scipy.optimize"):
+        assert [m for m in loaded if m == package or m.startswith(package + ".")] == []

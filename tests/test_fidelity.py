@@ -64,6 +64,13 @@ def test_closed_forms_on_lattice():
     assert np.all(np.diff(g_vals[xs >= 1.0]) < 0)  # strictly decreasing past x = 1
 
 
+def test_closed_forms_never_leave_unit_interval_up_to_1e153():
+    # the raw quotients round to one ulp above 1 for many x >= 7e7
+    for x in np.logspace(-3, 153, 20_000):
+        assert 0.0 <= q.gaussian_state_fidelity(float(x)) <= 1.0
+        assert 0.0 <= q.gaussian_distribution_fidelity(float(x)) <= 1.0
+
+
 def test_transfer_function_basics():
     assert float(q.transfer_function(0.7, 0.7, 0.9, 0.5)) == 1.0
     assert float(q.transfer_function(0.3, -0.2, 0.9, 0.5)) == float(

@@ -203,6 +203,42 @@ def test_interpolator_matches_cubic_spline_bitwise(bounds, phase, sign, variance
     assert np.array_equal(nonfinite.view(np.float64), np.zeros(6))
 
 
+def bits(values):
+    """The raw 64-bit words: unlike ==, tells -0.0 from +0.0."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def fitted_coefficients(x, y):
+    """(4, n - 1, ...) coefficients, highest power first, from the in-repo fit."""
+    s, slope = q.grids._spline_slopes(x, y)
+    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    return np.stack(q.grids._hermite_coefficients(h, y[:-1], s[:-1], s[1:], slope))
+
+
+@pytest.mark.parametrize("n", [64, 257, 2048, 8192])
+@pytest.mark.parametrize("kind", ["cat", "chirped", "random"])
+def test_spline_fit_matches_cubic_spline_coefficients_bitwise(n, kind):
+    x = q.Grid(-7.3, 6.1, n).points
+    if kind == "random":
+        rng = np.random.default_rng(n)
+        y = rng.normal(size=n) + 1j * rng.normal(size=n)
+    else:
+        # negated narrow cat: tails that underflow to -0.0 (zero imaginary parts unchirped)
+        y = -(gaussian_amplitude(x, 1.5, 0.01) + gaussian_amplitude(x, -1.5, 0.01))
+        assert np.signbit(y[0]) and y[0] == 0.0
+        y = y * np.exp(1j * 1.3 * x) if kind == "chirped" else y.astype(np.complex128)
+    expected = CubicSpline(x, y).c
+    assert np.array_equal(bits(fitted_coefficients(x, y)), bits(expected))
+
+
+def test_multi_column_fit_matches_cubic_spline_along_axis_1_bitwise():
+    rng = np.random.default_rng(11)
+    x = q.Grid(-3.0, 4.0, 300).points
+    rows = rng.normal(size=(200, 300)) + 1j * rng.normal(size=(200, 300))
+    expected = CubicSpline(x, rows, axis=1).c  # (4, 299, 200)
+    assert np.array_equal(bits(fitted_coefficients(x, rows.T)), bits(expected))
+
+
 def test_grid_policy_halfspan_override():
     policy = q.GridPolicy(n_points=256, halfspan=4.0)
     grid = policy.grid_for([q.GaussianSpec(1.0, 0.25)])
