@@ -32,6 +32,7 @@ from .grids import (
     GaussianSpec,
     Grid,
     GridPolicy,
+    SPLINE_CHUNK,
     WaveFunction,
     _hermite_coefficients,
     _spline_slopes,
@@ -98,30 +99,46 @@ class JointWaveFunction:
             return Distribution.normalized(self.grid2, self.grid1.weights @ prob)
         raise InvalidParameterError(f"mode must be 1 or 2, got {mode}")
 
+    def _row_blocks(self) -> range:
+        """Starts of the row blocks: at most SPLINE_CHUNK points of the matrix each."""
+        return range(0, self.grid1.n_points, max(1, SPLINE_CHUNK // self.grid2.n_points))
+
     def conditioned_on_mode2(self, reading: float) -> WaveFunction:
         """Mode-1 state after a sharp mode-2 projection at the given reading.
 
         Every row of the amplitude matrix is fitted with scipy's not-a-knot spline along
-        mode 2 (one multi-column solve), only the reading's interval is formed, and the
-        resulting slice is renormalized.  The slice equals
+        mode 2 (one multi-column solve per row block), only the reading's interval is
+        formed, and the resulting slice is renormalized.  The slice equals
         `CubicSpline(grid2.points, A, axis=1)(reading)` bit for bit: the same interval
         (half-open, the last one closed, the end ones extended by the covers() slack)
-        and PPoly's sum c3 + c2 s + c1 s^2 + c0 (s^2 s).
+        and PPoly's sum c3 + c2 s + c1 s^2 + c0 (s^2 s).  A slice of mass
+        sum w1 |slice|^2 at most NULL_OUTCOME_DENSITY raises NullOutcomeError.
         """
         if not self.grid2.covers(reading, reading):
             raise GridTooNarrowError(
                 f"mode-2 reading {reading} lies outside the grid "
                 f"[{self.grid2.x_min}, {self.grid2.x_max}]"
             )
-        knots, columns = self.grid2.points, self.amplitudes.T
-        s, slope = _spline_slopes(knots, columns)
+        knots = self.grid2.points
         i = min(max(int(np.searchsorted(knots, reading, side="right")) - 1, 0), knots.size - 2)
-        c0, c1, c2, c3 = _hermite_coefficients(
-            knots[i + 1] - knots[i], columns[i], s[i], s[i + 1], slope[i]
-        )
         u = reading - knots[i]
         u2 = u * u
-        return WaveFunction.normalized(self.grid1, c3 + c2 * u + c1 * u2 + c0 * (u2 * u))
+        vals = np.empty(self.grid1.n_points, dtype=np.complex128)
+        blocks = self._row_blocks()
+        for start in blocks:
+            columns = self.amplitudes[start : start + blocks.step].T
+            s, slope = _spline_slopes(knots, columns)
+            c0, c1, c2, c3 = _hermite_coefficients(
+                knots[i + 1] - knots[i], columns[i], s[i], s[i + 1], slope[i]
+            )
+            vals[start : start + blocks.step] = c3 + c2 * u + c1 * u2 + c0 * (u2 * u)
+        mass = float(self.grid1.weights @ np.abs(vals) ** 2)
+        if mass <= NULL_OUTCOME_DENSITY:
+            raise NullOutcomeError(
+                f"mode-2 reading {reading} leaves a slice of mass {mass:.3e}, "
+                f"at most {NULL_OUTCOME_DENSITY}"
+            )
+        return WaveFunction.normalized(self.grid1, vals)
 
 
 @dataclass(frozen=True)
@@ -160,9 +177,10 @@ def beam_splitter_transform(
 ) -> JointWaveFunction:
     """Mix signal and probe: A(y1, y2) = psi_s(y1 c - y2 s) psi_p(y1 s + y2 c).
 
-    Inputs are cubic-interpolated at the rotated arguments.  The output is
-    deliberately not renormalized; norm preservation within 1e-6 is part of
-    the contract and is what the tests check.
+    Inputs are cubic-interpolated at the rotated arguments, one row block (at most
+    SPLINE_CHUNK points, so one evaluator chunk) at a time.  The output is
+    deliberately not renormalized; norm preservation within 1e-6 is part of the
+    contract and is what the tests check.
     """
     check_phase(phi)
     c, s = math.cos(phi), math.sin(phi)
@@ -183,10 +201,16 @@ def beam_splitter_transform(
         raise GridTooNarrowError("mode-2 output grid does not hold the rotated support")
     s_eval = amplitude_interpolator(signal)
     p_eval = amplitude_interpolator(probe)
-    y1 = out_grid1.points[:, None]
     y2 = out_grid2.points[None, :]
-    amp = s_eval(y1 * c - y2 * s) * p_eval(y1 * s + y2 * c)
-    return JointWaveFunction(out_grid1, out_grid2, amp)
+    amp = np.empty((out_grid1.n_points, out_grid2.n_points), dtype=np.complex128)
+    joint = JointWaveFunction(out_grid1, out_grid2, amp)
+    blocks = joint._row_blocks()
+    for start in blocks:
+        y1 = out_grid1.points[start : start + blocks.step, None]
+        block = amp[start : start + blocks.step]
+        block[...] = s_eval(y1 * c - y2 * s)
+        block *= p_eval(y1 * s + y2 * c)
+    return joint
 
 
 def outcome_grid(

@@ -1,6 +1,7 @@
 """Measurement-chain operations against analytic and cross-route oracles."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from qndsim.errors import (
     InvalidParameterError,
     NullOutcomeError,
 )
+from qndsim.grids import amplitude_interpolator
 
 from helpers import gaussian_amplitude, gaussian_density, l1_distance, l2_distance
 
@@ -24,6 +26,21 @@ QUARTER_PI = math.pi / 4
 
 def build(spec, grid):
     return q.build_gaussian(spec, grid)
+
+
+def readout_inputs(n_points, chirp=0.0):
+    """Cat signal (times exp(i chirp x)) and vacuum probe, as the readout benchmark uses."""
+    spec = q.CatSpec(2.0, 0.25)
+    policy = q.GridPolicy(n_points=n_points)
+    grid = policy.grid_for([spec])
+    cat = q.build_cat(spec.separation, spec.component_variance, grid)
+    signal = q.WaveFunction(grid, cat.amplitudes * np.exp(1j * chirp * grid.points))
+    return signal, build(VACUUM, policy.grid_for([VACUUM]))
+
+
+def readout_joint_state(n_points, chirp=0.0):
+    """The readout inputs mixed at phi = 0.7, as the readout benchmark does."""
+    return q.beam_splitter_transform(*readout_inputs(n_points, chirp), 0.7)
 
 
 def test_chain_config_derived_quantities():
@@ -91,6 +108,31 @@ def test_beam_splitter_rejects_narrow_output_grid():
         q.beam_splitter_transform(
             vac, vac, QUARTER_PI, out_grid1=q.Grid(-0.5, 0.5, 64), out_grid2=q.Grid(-9, 9, 64)
         )
+
+
+@pytest.mark.parametrize("chirp", [0.0, 1.3])  # 0: a real signal
+def test_beam_splitter_row_blocks_match_one_shot_formula_bitwise(chirp):
+    # 1000 rows: 15 row blocks of 65 and a last one of 25
+    signal, probe = readout_inputs(1000, chirp)
+    joint = q.beam_splitter_transform(signal, probe, 0.7)
+    c, s = math.cos(0.7), math.sin(0.7)
+    y1, y2 = joint.grid1.points[:, None], joint.grid2.points[None, :]
+    expected = amplitude_interpolator(signal)(y1 * c - y2 * s) * amplitude_interpolator(probe)(
+        y1 * s + y2 * c
+    )
+    assert np.array_equal(joint.amplitudes.view(np.uint64), expected.view(np.uint64))
+
+
+def test_beam_splitter_builds_row_blocks():
+    # the one-shot formula peaked at 27 MB on this 768 x 768 state; the state is 9.4 MB
+    signal, probe = readout_inputs(768)
+    tracemalloc.start()
+    try:
+        q.beam_splitter_transform(signal, probe, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # --- homodyne ----------------------------------------------------------------
@@ -238,30 +280,42 @@ def test_conditional_raw_matches_joint_slice():
     assert l2_distance(sliced, raw) < 1e-5
 
 
-def readout_joint_state(n_points, chirp=0.0):
-    """Cat signal and vacuum probe mixed at phi = 0.7, as the readout benchmark does."""
-    spec = q.CatSpec(2.0, 0.25)
-    policy = q.GridPolicy(n_points=n_points)
-    grid = policy.grid_for([spec])
-    cat = q.build_cat(spec.separation, spec.component_variance, grid)
-    signal = q.WaveFunction(grid, cat.amplitudes * np.exp(1j * chirp * grid.points))
-    probe = build(VACUUM, policy.grid_for([VACUUM]))
-    return q.beam_splitter_transform(signal, probe, 0.7)
+def mode2_cut(joint, y_cut):
+    """The joint state on its mode-2 knots up to y_cut: a reading at the cut grid's x_max
+    carries mass, where the full grid's edge slices are null."""
+    k = int(np.searchsorted(joint.grid2.points, y_cut))
+    grid2 = q.Grid(joint.grid2.x_min, float(joint.grid2.points[k]), k + 1)
+    amplitudes = np.ascontiguousarray(joint.amplitudes[:, : k + 1])
+    return q.JointWaveFunction(joint.grid1, grid2, amplitudes)
+
+
+def assert_slices_match_cubic_spline(joint):
+    """Slices at a knot near -0.5, its nextafter, and grid2.x_max of the state cut at
+    y2 = 2.8 equal CubicSpline's along mode 2, bit for bit."""
+    cut = mode2_cut(joint, 2.8)
+    knot = float(joint.grid2.points[np.searchsorted(joint.grid2.points, -0.5)])
+    readings = ((joint, knot), (joint, np.nextafter(knot, np.inf)), (cut, cut.grid2.x_max))
+    for state, reading in readings:
+        spline = CubicSpline(state.grid2.points, state.amplitudes, axis=1)
+        expected = q.WaveFunction.normalized(state.grid1, spline(reading)).amplitudes
+        got = state.conditioned_on_mode2(reading).amplitudes
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize("chirp", [0.0, 1.3])  # 0: zero imaginary parts
 def test_conditioned_on_mode2_matches_cubic_spline_bitwise(chirp):
-    joint = readout_joint_state(300, chirp)
-    knots = joint.grid2.points
-    spline = CubicSpline(knots, joint.amplitudes, axis=1)
-    for reading in (knots[140], np.nextafter(knots[140], np.inf), joint.grid2.x_max):
-        expected = q.WaveFunction.normalized(joint.grid1, spline(float(reading))).amplitudes
-        got = joint.conditioned_on_mode2(float(reading)).amplitudes
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    # 300 rows: row blocks of 218 and 82 (one block once cut)
+    assert_slices_match_cubic_spline(readout_joint_state(300, chirp))
+
+
+def test_conditioned_on_mode2_row_blocks_match_cubic_spline_bitwise():
+    # 768 rows: 9 row blocks of 85 and a last one of 3 (6 of 127 and one of 6 once cut)
+    assert_slices_match_cubic_spline(readout_joint_state(768, 1.3))
 
 
 def test_conditioned_on_mode2_forms_one_interval():
-    # fitting whole coefficient arrays peaked at 117 MB on this 768 x 768 state
+    # fitting whole coefficient arrays peaked at 117 MB on this 768 x 768 state, one
+    # multi-column solve over all rows at 36 MB
     joint = readout_joint_state(768)
     tracemalloc.start()
     try:
@@ -269,7 +323,14 @@ def test_conditioned_on_mode2_forms_one_interval():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 60e6
+    assert peak < 8e6
+
+
+def test_conditioned_on_mode2_null_slice():
+    joint = readout_joint_state(768)
+    message = re.escape(f"reading {joint.grid2.x_min} leaves a slice of mass ")
+    with pytest.raises(NullOutcomeError, match=message):
+        joint.conditioned_on_mode2(joint.grid2.x_min)
 
 
 def test_conditional_raw_vacuum_pair_at_origin():

@@ -1,6 +1,7 @@
 """Fidelity measures: closed forms, numeric quadratures, and the output ensemble."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,31 @@ def test_transfer_function_basics():
     )
     with pytest.raises(InvalidParameterError):
         q.transfer_function(0.0, 1.0, 0.9, 0.0)
+
+
+def test_transfer_function_built_in_place_bitwise():
+    def one_expression(y1, y2, phi, sigma_p):
+        diff = np.asarray(y1, dtype=np.float64) - np.asarray(y2, dtype=np.float64)
+        return np.exp(-(math.tan(phi) ** 2) * diff**2 / (8.0 * sigma_p**2))
+
+    for n in (1000, 1024):
+        y = np.linspace(-6.3, 5.9, n)
+        for phi, sigma_p in ((0.7, 0.5), (0.3, 0.1), (1.2, 2.0)):
+            got = q.transfer_function(y[:, None], y[None, :], phi, sigma_p)
+            expected = one_expression(y[:, None], y[None, :], phi, sigma_p)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_state_fidelity_via_transfer_builds_one_kernel_array():
+    # N = 1024: one N x N kernel is 8.4 MB; the one-expression kernel peaked at 25 MB
+    signal = q.build_cat(1.8, 0.2025, q.Grid(-6.0, 6.0, 1024))
+    tracemalloc.start()
+    try:
+        q.state_fidelity_via_transfer(signal, 0.7, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 # --- numeric quadratures vs closed forms --------------------------------------
