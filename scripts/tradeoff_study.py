@@ -56,12 +56,12 @@ def main() -> None:
         ratios = np.logspace(-1, 1, 15)
         variances = [(r * sigma * math.tan(phi)) ** 2 for r in ratios]
         pairs = q.numeric_trade_off_curve(cat, variances, phi, n_outcomes=512,
-                                          grid_points=1024, x_values=list(ratios))
-        cat_rows = np.array([(p.x, p.F, p.G, p.f_plus_g) for p in pairs])
+                                          grid_points=1024)
+        cat_rows = np.array([(r, p.F, p.G, p.f_plus_g) for r, p in zip(ratios, pairs)])
         np.savetxt(out / "cat_curve.csv", cat_rows, delimiter=",",
                    header="x,F,G,F_plus_G", comments="")
-        best = max(pairs, key=lambda p: p.f_plus_g)
-        print(f"cat signal:     best F+G = {best.f_plus_g:.4f} at x = {best.x:.3f}")
+        best_x, best = max(zip(ratios, pairs), key=lambda rp: rp[1].f_plus_g)
+        print(f"cat signal:     best F+G = {best.f_plus_g:.4f} at x = {best_x:.3f}")
 
     print(f"wrote {out}/")
 

@@ -29,9 +29,7 @@ from .errors import (
 )
 from .grids import (
     Distribution,
-    GaussianSpec,
     Grid,
-    GridPolicy,
     SPLINE_CHUNK,
     WaveFunction,
     _hermite_coefficients,
@@ -52,30 +50,6 @@ def check_phase(phi: float) -> None:
             f"phi={phi} is degenerate: need sin(phi) > {PHASE_MARGIN} and "
             f"cos(phi) > {PHASE_MARGIN}, i.e. phi strictly inside (0, pi/2)"
         )
-
-
-@dataclass(frozen=True)
-class ChainConfig:
-    """Interferometer phase, probe preparation, grid sizing, and sampling seed."""
-
-    phi: float
-    probe_spec: GaussianSpec
-    grid_policy: GridPolicy = GridPolicy()
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_phase(self.phi)
-        if not 0 <= int(self.seed) < 2**64:
-            raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-
-    @property
-    def transmittivity(self) -> float:
-        return math.cos(self.phi) ** 2
-
-    @property
-    def output_squeeze_factor(self) -> float:
-        """Axis scale factor applied by the output squeezer (e^r = cos phi)."""
-        return math.cos(self.phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,37 +142,24 @@ def _support_bounds(wf: WaveFunction) -> tuple[float, float]:
 
 
 def beam_splitter_transform(
-    signal: WaveFunction,
-    probe: WaveFunction,
-    phi: float,
-    out_grid1: Grid | None = None,
-    out_grid2: Grid | None = None,
-    n_points: int | None = None,
+    signal: WaveFunction, probe: WaveFunction, phi: float
 ) -> JointWaveFunction:
     """Mix signal and probe: A(y1, y2) = psi_s(y1 c - y2 s) psi_p(y1 s + y2 c).
 
-    Inputs are cubic-interpolated at the rotated arguments, one row block (at most
-    SPLINE_CHUNK points, so one evaluator chunk) at a time.  The output is
-    deliberately not renormalized; norm preservation within 1e-6 is part of the
-    contract and is what the tests check.
+    The output grids span the bounding box of the rotated input rectangle on
+    max(n_signal, n_probe) points each; with c, s > 0 the rotated support lies
+    inside it.  Inputs are cubic-interpolated at the rotated arguments, one row
+    block (at most SPLINE_CHUNK points, so one evaluator chunk) at a time.  The
+    output is deliberately not renormalized; norm preservation within 1e-6 is
+    part of the contract and is what the tests check.
     """
     check_phase(phi)
     c, s = math.cos(phi), math.sin(phi)
-    if out_grid1 is None or out_grid2 is None:
-        # bounding box of the rotated input rectangle; nothing lives outside it
-        n = n_points or max(signal.grid.n_points, probe.grid.n_points)
-        box1_lo = signal.grid.x_min * c + probe.grid.x_min * s
-        box1_hi = signal.grid.x_max * c + probe.grid.x_max * s
-        box2_lo = -signal.grid.x_max * s + probe.grid.x_min * c
-        box2_hi = -signal.grid.x_min * s + probe.grid.x_max * c
-        out_grid1 = out_grid1 or Grid(box1_lo, box1_hi, n)
-        out_grid2 = out_grid2 or Grid(box2_lo, box2_hi, n)
-    s_lo, s_hi = _support_bounds(signal)
-    p_lo, p_hi = _support_bounds(probe)
-    if not out_grid1.covers(s_lo * c + p_lo * s, s_hi * c + p_hi * s):
-        raise GridTooNarrowError("mode-1 output grid does not hold the rotated support")
-    if not out_grid2.covers(-s_hi * s + p_lo * c, -s_lo * s + p_hi * c):
-        raise GridTooNarrowError("mode-2 output grid does not hold the rotated support")
+    n = max(signal.grid.n_points, probe.grid.n_points)
+    out_grid1 = Grid(signal.grid.x_min * c + probe.grid.x_min * s,
+                     signal.grid.x_max * c + probe.grid.x_max * s, n)
+    out_grid2 = Grid(-signal.grid.x_max * s + probe.grid.x_min * c,
+                     -signal.grid.x_min * s + probe.grid.x_max * c, n)
     s_eval = amplitude_interpolator(signal)
     p_eval = amplitude_interpolator(probe)
     y2 = out_grid2.points[None, :]

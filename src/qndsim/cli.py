@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, checks
 from .chain import (
-    ChainConfig, conditional_output, homodyne_distribution, make_outcome, sample_outcomes,
+    check_phase, conditional_output, homodyne_distribution, make_outcome, sample_outcomes,
 )
 from .errors import InvalidParameterError, QndSimError
 from .grids import (
@@ -202,16 +202,12 @@ def _state_summary(wf: WaveFunction) -> dict:
 def cmd_chain(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
     policy = GridPolicy(n_points=args.grid_n, halfspan=args.grid_span)
-    config = ChainConfig(
-        phi=args.phi,
-        probe_spec=GaussianSpec(mean=0.0, variance=args.probe_var),
-        grid_policy=policy,
-        seed=args.seed,
-    )
+    probe_spec = GaussianSpec(mean=0.0, variance=args.probe_var)
+    check_phase(args.phi)
     signal = _load_signal(args.signal, policy)
-    probe = build_gaussian(config.probe_spec, policy.grid_for([config.probe_spec]))
+    probe = build_gaussian(probe_spec, policy.grid_for([probe_spec]))
 
-    homodyne = homodyne_distribution(signal, probe, config.phi)
+    homodyne = homodyne_distribution(signal, probe, args.phi)
     outputs = ["homodyne.csv"]
     _write_csv(out_dir / "homodyne.csv", ["x0", "p"], [homodyne.grid.points, homodyne.density])
 
@@ -228,12 +224,12 @@ def cmd_chain(args: argparse.Namespace) -> int:
     mode, payload = args.outcome
     if mode == "fixed":
         for i, x0 in enumerate(payload):
-            conditional = conditional_output(signal, probe, config.phi, x0)
+            conditional = conditional_output(signal, probe, args.phi, x0)
             name = f"conditional_{i:02d}.csv"
             dist = density(conditional)
             _write_csv(out_dir / name, ["x", "density"], [dist.grid.points, dist.density])
             outputs.append(name)
-            event = make_outcome(homodyne, x0, config.phi)
+            event = make_outcome(homodyne, x0, args.phi)
             record = {
                 "x0": event.x0,
                 "raw_X": event.raw_X,
@@ -244,14 +240,14 @@ def cmd_chain(args: argparse.Namespace) -> int:
             record.update(_state_summary(conditional))
             summary["outcomes"].append(record)
     else:
-        draws = sample_outcomes(homodyne, payload, config.seed)
+        draws = sample_outcomes(homodyne, payload, args.seed)
         _write_csv(out_dir / "samples.csv", ["x0"], [draws])
         outputs.append("samples.csv")
         summary["samples"] = {
             "count": int(payload),
             "mean": float(draws.mean()),
             "std": float(draws.std()),
-            "seed": config.seed,
+            "seed": args.seed,
         }
 
     _write_json(out_dir / "summary.json", summary)
@@ -261,17 +257,17 @@ def cmd_chain(args: argparse.Namespace) -> int:
         out_dir,
         "chain",
         {
-            "phi": config.phi,
-            "transmittivity": config.transmittivity,
-            "output_squeeze_factor": config.output_squeeze_factor,
-            "probe_variance": config.probe_spec.variance,
+            "phi": args.phi,
+            "transmittivity": math.cos(args.phi) ** 2,
+            "output_squeeze_factor": math.cos(args.phi),
+            "probe_variance": probe_spec.variance,
             "signal": _signal_text(args.signal),
             "outcome": f"sample:{payload}" if mode == "sample" else [float(v) for v in payload],
             "grid_n": args.grid_n,
             "grid_span": args.grid_span,
         },
         outputs,
-        config.seed,
+        args.seed,
     )
     return EXIT_OK
 
@@ -292,7 +288,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sigma_s, t = math.sqrt(signal.variance()), math.tan(args.phi)
         variances = [(float(x) * sigma_s * t) ** 2 for x in xs]
         pairs = numeric_trade_off_curve(
-            signal, variances, args.phi, args.outcome_nodes, args.grid_n, x_values=xs
+            signal, variances, args.phi, args.outcome_nodes, args.grid_n
         )
 
     f_col = np.array([p.F for p in pairs])

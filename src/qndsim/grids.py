@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Union
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, zgtsv
+from scipy.linalg.lapack import zgtsv
 
 from .errors import GridMismatchError, GridTooNarrowError, InvalidParameterError
 
@@ -263,17 +263,13 @@ def _extent(spec: StateSpec) -> tuple[float, float, float]:
     return -spec.separation, spec.separation, spec.sigma
 
 
-def auto_grid(
-    specs: Iterable[StateSpec],
-    n_points: int = DEFAULT_GRID_POINTS,
-    span_sigmas: float = DEFAULT_SPAN_SIGMAS,
-) -> Grid:
-    """Grid covering every spec's centers plus span_sigmas of the widest state."""
+def auto_grid(specs: Iterable[StateSpec], n_points: int = DEFAULT_GRID_POINTS) -> Grid:
+    """Grid covering every spec's centers plus DEFAULT_SPAN_SIGMAS of the widest state."""
     specs = list(specs)
     if not specs:
         raise InvalidParameterError("auto_grid needs at least one state spec")
     los, his, sigmas = zip(*(_extent(s) for s in specs))
-    pad = span_sigmas * max(sigmas)
+    pad = DEFAULT_SPAN_SIGMAS * max(sigmas)
     return Grid(min(los) - pad, max(his) + pad, n_points)
 
 
@@ -286,13 +282,12 @@ class GridPolicy:
     """
 
     n_points: int = DEFAULT_GRID_POINTS
-    span_sigmas: float = DEFAULT_SPAN_SIGMAS
     halfspan: float | None = None
 
     def grid_for(self, specs: Iterable[StateSpec]) -> Grid:
         specs = list(specs)
         if self.halfspan is None:
-            return auto_grid(specs, self.n_points, self.span_sigmas)
+            return auto_grid(specs, self.n_points)
         if not specs:
             raise InvalidParameterError("grid policy needs at least one state spec")
         los, his, _ = zip(*(_extent(s) for s in specs))
@@ -328,9 +323,9 @@ def _spline_slopes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     y holds one curve per column (axis 0 runs along x, len(x) >= 4).  This is scipy's
     `CubicSpline(x, y, axis=0)` system, bit for bit: the same band and right-hand side,
-    solved for all columns by one LAPACK ?gtsv call on the band cast to y's dtype, as
-    `solve_banded((1, 1))` does.  Complex y must stay complex: dgtsv on the real part
-    does not give the bits of zgtsv's real part.
+    solved for all columns by one LAPACK zgtsv call on the band cast to complex, as
+    `solve_banded((1, 1))` does for complex y.  y must be complex128 (every WaveFunction
+    is): real y would need dgtsv, whose bits differ from zgtsv's real part.
     """
     n = x.size
     dx = np.diff(x)
@@ -349,10 +344,9 @@ def _spline_slopes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     rhs[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
     d = x[-1] - x[-3]
     rhs[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-    gtsv = zgtsv if np.iscomplexobj(y) else dgtsv
-    *_, derivs, info = gtsv(lower, diag, upper, rhs.reshape(n, -1), 1, 1, 1, 1)
+    *_, derivs, info = zgtsv(lower, diag, upper, rhs.reshape(n, -1), 1, 1, 1, 1)
     if info:
-        raise InvalidParameterError(f"spline system is singular (?gtsv info {info})")
+        raise InvalidParameterError(f"spline system is singular (zgtsv info {info})")
     return derivs.reshape(y.shape), slope
 
 

@@ -14,10 +14,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import PHASE_MARGIN, check_phase
+from .chain import check_phase
 from .errors import (
     BracketError,
-    DegeneratePhaseError,
     InvalidParameterError,
     NonFiniteObjectiveError,
     NoSignChangeError,
@@ -149,10 +148,7 @@ def tune_phase(sigma_s: float, sigma_p: float, x_target: float) -> float:
             f"({sigma_s}, {sigma_p}, {x_target})"
         )
     phi = math.atan(sigma_p / (sigma_s * x_target))
-    if not (math.sin(phi) > PHASE_MARGIN and math.cos(phi) > PHASE_MARGIN):
-        raise DegeneratePhaseError(
-            f"tuned phase {phi} falls outside the usable open interval (0, pi/2)"
-        )
+    check_phase(phi)
     return phi
 
 
@@ -162,29 +158,23 @@ def numeric_trade_off_curve(
     phi: float,
     n_outcomes: int = 1024,
     grid_points: int = DEFAULT_GRID_POINTS,
-    x_values: Sequence[float] | None = None,
 ) -> list[FidelityPair]:
     """Numeric (F, G) for one signal across a list of probe variances.
 
     Points evaluate in input order; a failure at point i re-raises the
-    underlying error with the index and variance attached.  x_values, when
-    given, annotates each pair with its known filter ratio.
+    underlying error with the index and variance attached.
     """
     check_phase(phi)
-    if x_values is not None and len(x_values) != len(probe_variance_list):
-        raise InvalidParameterError("x_values must match probe_variance_list in length")
     pairs: list[FidelityPair] = []
     for i, variance in enumerate(probe_variance_list):
         try:
             spec = GaussianSpec(mean=0.0, variance=float(variance))
             probe = build_gaussian(spec, auto_grid([spec], n_points=grid_points))
-            pair = fidelity_pair(signal, probe, phi, n_outcomes=n_outcomes)
+            pairs.append(fidelity_pair(signal, probe, phi, n_outcomes=n_outcomes))
         except QndSimError as err:
             raise type(err)(
                 f"trade-off point {i} (probe variance {variance}): {err}"
             ) from err
-        x = float(x_values[i]) if x_values is not None else None
-        pairs.append(FidelityPair(F=pair.F, G=pair.G, x=x))
     return pairs
 
 
@@ -242,6 +232,6 @@ def numeric_trade_off_report(
 
     def pair_at(x: float) -> FidelityPair:
         variance = (x * sigma_s * t) ** 2
-        return numeric_trade_off_curve(signal, [variance], phi, n_outcomes, grid_points, [x])[0]
+        return numeric_trade_off_curve(signal, [variance], phi, n_outcomes, grid_points)[0]
 
     return _trade_off_report(pair_at, lo, hi, tol)

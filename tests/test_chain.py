@@ -43,16 +43,6 @@ def readout_joint_state(n_points, chirp=0.0):
     return q.beam_splitter_transform(*readout_inputs(n_points, chirp), 0.7)
 
 
-def test_chain_config_derived_quantities():
-    cfg = q.ChainConfig(phi=0.6, probe_spec=VACUUM, seed=3)
-    assert cfg.transmittivity == pytest.approx(math.cos(0.6) ** 2)
-    assert cfg.output_squeeze_factor == pytest.approx(math.cos(0.6))
-    with pytest.raises(DegeneratePhaseError):
-        q.ChainConfig(phi=math.pi / 2, probe_spec=VACUUM)
-    with pytest.raises(InvalidParameterError):
-        q.ChainConfig(phi=0.6, probe_spec=VACUUM, seed=-1)
-
-
 # --- beam splitter -----------------------------------------------------------
 
 
@@ -99,15 +89,6 @@ def test_beam_splitter_vacuum_pair_invariant():
         joint.grid2.points, 0.0, 0.25
     )[None, :]
     assert np.abs(joint.amplitudes - expected).max() < 1e-6
-
-
-def test_beam_splitter_rejects_narrow_output_grid():
-    grid = q.auto_grid([VACUUM], n_points=256)
-    vac = build(VACUUM, grid)
-    with pytest.raises(GridTooNarrowError):
-        q.beam_splitter_transform(
-            vac, vac, QUARTER_PI, out_grid1=q.Grid(-0.5, 0.5, 64), out_grid2=q.Grid(-9, 9, 64)
-        )
 
 
 @pytest.mark.parametrize("chirp", [0.0, 1.3])  # 0: a real signal

@@ -60,6 +60,18 @@ def test_chain_multiple_fixed_outcomes(tmp_path):
     assert [o["x0"] for o in summary["outcomes"]] == [-0.5, 0.0, 0.5]
 
 
+def test_chain_manifest_records_transmittivity_and_squeeze_factor(tmp_path):
+    phi = 0.6
+    out = tmp_path / "optics"
+    code = main(["chain", "--phi", str(phi), "--probe-var", "0.25", "--outcome", "0.0",
+                 "--grid-n", "256", "--out", str(out)])
+    assert code == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["phi"] == phi
+    assert config["transmittivity"] == math.cos(phi) ** 2
+    assert config["output_squeeze_factor"] == math.cos(phi)
+
+
 def test_chain_degenerate_phase_exits_3(tmp_path, capsys):
     code = main(
         ["chain", "--phi", "1.6", "--probe-var", "0.25", "--outcome", "0.0",
@@ -94,6 +106,13 @@ def test_chain_different_seed_changes_samples(tmp_path):
     assert main([*base, "--seed", "1", "--out", str(out_a)]) == 0
     assert main([*base, "--seed", "2", "--out", str(out_b)]) == 0
     assert (out_a / "samples.csv").read_bytes() != (out_b / "samples.csv").read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_chain_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    base = ["chain", *GAUSSIAN_FLAGS, "--outcome", "sample:10", "--seed", seed]
+    assert main([*base, "--out", str(tmp_path / "bad")]) == 2
+    assert "64 unsigned bits" in capsys.readouterr().err
 
 
 def test_chain_file_signal(tmp_path):
