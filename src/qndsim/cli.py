@@ -7,9 +7,11 @@ Exit codes are a stable contract for scripting:
   3  domain error (degenerate phase, grid overflow, ...)
 
 All numeric files are locale-independent: decimal points, fixed column
-order, LF line endings, 17 significant digits.  Every run writes a
-``manifest.json`` listing the produced files.  Identical flags, seed and
-tool version reproduce identical numeric outputs.
+order, LF line endings, 17 significant digits.  Each command computes its
+files in memory; ``main`` writes them, with a ``manifest.json`` listing
+them, only once the command has returned.  So every run that exits 0 or 1
+writes ``manifest.json`` and a run that exits 2 or 3 writes nothing.
+Identical flags, seed and tool version reproduce identical numeric outputs.
 """
 
 from __future__ import annotations
@@ -113,37 +115,14 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+def _csv(header: list[str], columns: list[np.ndarray]) -> str:
     lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    lines.extend(",".join(_fmt(v) for v in row) for row in zip(*columns))
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii", newline="\n"
-    )
-
-
-def _write_manifest(
-    out_dir: Path, command: str, config: dict, outputs: list[str], seed: int | None
-) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "outputs": sorted(outputs),
-        "seed": seed,
-        "tool_version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    _write_json(out_dir / "manifest.json", manifest)
-
-
-def _out_dir(args: argparse.Namespace) -> Path:
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +175,12 @@ def _state_summary(wf: WaveFunction) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# chain
+# commands: each returns (exit code, {file name: text}, manifest config)
+
+Files = dict[str, str]
 
 
-def cmd_chain(args: argparse.Namespace) -> int:
-    out_dir = _out_dir(args)
+def cmd_chain(args: argparse.Namespace) -> tuple[int, Files, dict]:
     policy = GridPolicy(n_points=args.grid_n, halfspan=args.grid_span)
     probe_spec = GaussianSpec(mean=0.0, variance=args.probe_var)
     check_phase(args.phi)
@@ -208,8 +188,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
     probe = build_gaussian(probe_spec, policy.grid_for([probe_spec]))
 
     homodyne = homodyne_distribution(signal, probe, args.phi)
-    outputs = ["homodyne.csv"]
-    _write_csv(out_dir / "homodyne.csv", ["x0", "p"], [homodyne.grid.points, homodyne.density])
+    files = {"homodyne.csv": _csv(["x0", "p"], [homodyne.grid.points, homodyne.density])}
 
     summary: dict = {
         "signal": _state_summary(signal),
@@ -227,8 +206,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
             conditional = conditional_output(signal, probe, args.phi, x0)
             name = f"conditional_{i:02d}.csv"
             dist = density(conditional)
-            _write_csv(out_dir / name, ["x", "density"], [dist.grid.points, dist.density])
-            outputs.append(name)
+            files[name] = _csv(["x", "density"], [dist.grid.points, dist.density])
             event = make_outcome(homodyne, x0, args.phi)
             record = {
                 "x0": event.x0,
@@ -241,8 +219,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
             summary["outcomes"].append(record)
     else:
         draws = sample_outcomes(homodyne, payload, args.seed)
-        _write_csv(out_dir / "samples.csv", ["x0"], [draws])
-        outputs.append("samples.csv")
+        files["samples.csv"] = _csv(["x0"], [draws])
         summary["samples"] = {
             "count": int(payload),
             "mean": float(draws.mean()),
@@ -250,34 +227,21 @@ def cmd_chain(args: argparse.Namespace) -> int:
             "seed": args.seed,
         }
 
-    _write_json(out_dir / "summary.json", summary)
-    outputs.append("summary.json")
-
-    _write_manifest(
-        out_dir,
-        "chain",
-        {
-            "phi": args.phi,
-            "transmittivity": math.cos(args.phi) ** 2,
-            "output_squeeze_factor": math.cos(args.phi),
-            "probe_variance": probe_spec.variance,
-            "signal": _signal_text(args.signal),
-            "outcome": f"sample:{payload}" if mode == "sample" else [float(v) for v in payload],
-            "grid_n": args.grid_n,
-            "grid_span": args.grid_span,
-        },
-        outputs,
-        args.seed,
-    )
-    return EXIT_OK
+    files["summary.json"] = _json(summary)
+    config = {
+        "phi": args.phi,
+        "transmittivity": math.cos(args.phi) ** 2,
+        "output_squeeze_factor": math.cos(args.phi),
+        "probe_variance": probe_spec.variance,
+        "signal": _signal_text(args.signal),
+        "outcome": f"sample:{payload}" if mode == "sample" else [float(v) for v in payload],
+        "grid_n": args.grid_n,
+        "grid_span": args.grid_span,
+    }
+    return EXIT_OK, files, config
 
 
-# ---------------------------------------------------------------------------
-# sweep
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    out_dir = _out_dir(args)
+def cmd_sweep(args: argparse.Namespace) -> tuple[int, Files, dict]:
     _check_bracket(args)
     xs = np.linspace(args.x_min, args.x_max, args.steps)
 
@@ -293,36 +257,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     f_col = np.array([p.F for p in pairs])
     g_col = np.array([p.G for p in pairs])
-    _write_csv(
-        out_dir / "sweep.csv",
-        ["x", "F", "G", "F_plus_G"],
-        [xs, f_col, g_col, f_col + g_col],
-    )
-    _write_manifest(
-        out_dir,
-        "sweep",
-        {
-            "x_min": args.x_min,
-            "x_max": args.x_max,
-            "steps": args.steps,
-            "mode": args.mode,
-            "phi": args.phi,
-            "signal": _signal_text(args.signal),
-            "grid_n": args.grid_n,
-            "outcome_nodes": args.outcome_nodes,
-        },
-        ["sweep.csv"],
-        None,
-    )
-    return EXIT_OK
+    sweep_csv = _csv(["x", "F", "G", "F_plus_G"], [xs, f_col, g_col, f_col + g_col])
+    config = {
+        "x_min": args.x_min,
+        "x_max": args.x_max,
+        "steps": args.steps,
+        "mode": args.mode,
+        "phi": args.phi,
+        "signal": _signal_text(args.signal),
+        "grid_n": args.grid_n,
+        "outcome_nodes": args.outcome_nodes,
+    }
+    return EXIT_OK, {"sweep.csv": sweep_csv}, config
 
 
-# ---------------------------------------------------------------------------
-# optimize
-
-
-def cmd_optimize(args: argparse.Namespace) -> int:
-    out_dir = _out_dir(args)
+def cmd_optimize(args: argparse.Namespace) -> tuple[int, Files, dict]:
     _check_bracket(args)
     policy = GridPolicy(n_points=args.grid_n)
     signal = _load_signal(args.signal, policy)
@@ -345,43 +294,31 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         payload["sigma_probe"] = args.sigma_probe
         payload["sigma_signal"] = sigma_s
         payload["tuned_phase"] = tune_phase(sigma_s, args.sigma_probe, report.x_m)
-    _write_json(out_dir / "report.json", payload)
-    _write_manifest(
-        out_dir,
-        "optimize",
-        {
-            "mode": args.mode,
-            "tol": args.tol,
-            "phi": args.phi,
-            "signal": _signal_text(args.signal),
-            "sigma_probe": args.sigma_probe,
-            "x_min": args.x_min,
-            "x_max": args.x_max,
-            "grid_n": args.grid_n,
-        },
-        ["report.json"],
-        None,
-    )
-    return EXIT_OK
+    config = {
+        "mode": args.mode,
+        "tol": args.tol,
+        "phi": args.phi,
+        "signal": _signal_text(args.signal),
+        "sigma_probe": args.sigma_probe,
+        "x_min": args.x_min,
+        "x_max": args.x_max,
+        "grid_n": args.grid_n,
+    }
+    return EXIT_OK, {"report.json": _json(payload)}, config
 
 
-# ---------------------------------------------------------------------------
-# validate
-
-
-def cmd_validate(args: argparse.Namespace) -> int:
-    out_dir = _out_dir(args)
+def cmd_validate(args: argparse.Namespace) -> tuple[int, Files, dict]:
     results = checks.run(args.suite)
     all_passed = all(c["passed"] for c in results)
-    _write_json(out_dir / "report.json", {"suite": args.suite, "passed": all_passed, "checks": results})
-    _write_manifest(out_dir, "validate", {"suite": args.suite}, ["report.json"], None)
     for check in results:
         status = "PASS" if check["passed"] else "FAIL"
         print(
             f"[{status}] {check['name']}: measured {check['measured']:.3e} "
             f"{check['comparison']} {check['threshold']:.3e}"
         )
-    return EXIT_OK if all_passed else EXIT_VALIDATION
+    report = _json({"suite": args.suite, "passed": all_passed, "checks": results})
+    code = EXIT_OK if all_passed else EXIT_VALIDATION
+    return code, {"report.json": report}, {"suite": args.suite}
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +390,21 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help itself
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, files, config = args.func(args)
+        manifest = {
+            "command": args.command,
+            "config": config,
+            "outputs": sorted(files),
+            "seed": getattr(args, "seed", None),
+            "tool_version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        }
+        files["manifest.json"] = _json(manifest)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out_dir / name).write_text(text, encoding="ascii", newline="\n")
+        return code
     except QndSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

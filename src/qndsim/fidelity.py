@@ -48,15 +48,10 @@ UNIT_SLACK = 1e-9  # raw F and G may leave [0, 1] by this much before they are c
 
 @dataclass(frozen=True)
 class FidelityPair:
-    """State fidelity F and distribution fidelity G at one operating point.
-
-    x is the Gaussian filter ratio sigma_p / (sigma_s tan phi) when the
-    point comes from Gaussian closed forms; None when it is not defined.
-    """
+    """State fidelity F and distribution fidelity G at one operating point."""
 
     F: float
     G: float
-    x: float | None = None
 
     @property
     def f_plus_g(self) -> float:

@@ -51,11 +51,7 @@ class TradeOffReport:
 
 def trade_off(x: float) -> FidelityPair:
     """Closed-form (F, G) at filter ratio x."""
-    return FidelityPair(
-        F=gaussian_state_fidelity(x),
-        G=gaussian_distribution_fidelity(x),
-        x=float(x),
-    )
+    return FidelityPair(F=gaussian_state_fidelity(x), G=gaussian_distribution_fidelity(x))
 
 
 def maximize_trade_off(

@@ -82,6 +82,44 @@ def test_chain_degenerate_phase_exits_3(tmp_path, capsys):
     assert "degenerate" in err and "phi" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--phi", "1.6", "--probe-var", "0.25", "--outcome", "0.0"],  # degenerate phase
+    [*GAUSSIAN_FLAGS, "--outcome", "50"],  # null outcome, raised after p is computed
+])
+def test_chain_domain_error_writes_nothing(tmp_path, flags):
+    out = tmp_path / "bad"
+    assert main(["chain", *flags, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, produced", [
+    (["chain", *GAUSSIAN_FLAGS, "--outcome", "sample:100", "--seed", "3"],
+     {"homodyne.csv", "samples.csv", "summary.json"}),
+    (["sweep", "--mode", "closed", "--x-min", "0.5", "--x-max", "2", "--steps", "3"],
+     {"sweep.csv"}),
+    (["optimize", "--mode", "closed"], {"report.json"}),
+    (["validate", "--suite", "pipeline"], {"report.json"}),
+])
+def test_manifest_lists_exactly_the_files_produced(tmp_path, command, produced):
+    out = tmp_path / "run"
+    assert main([*command, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command[0]
+    assert manifest["seed"] == (3 if command[0] == "chain" else None)
+    assert set(manifest["outputs"]) == produced
+    assert {p.name for p in out.iterdir()} == produced | {"manifest.json"}
+
+
+def test_out_naming_a_regular_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["sweep", "--mode", "closed", "--x-min", "0.5", "--x-max", "2",
+                 "--steps", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
+
+
 @pytest.mark.parametrize("flag", [["--outcome", "nan"], ["--outcome=-inf"]])
 def test_chain_nonfinite_outcome_exits_3(tmp_path, capsys, flag):
     code = main(["chain", *GAUSSIAN_FLAGS, *flag, "--out", str(tmp_path / "bad")])
@@ -258,7 +296,7 @@ def test_closed_sweep_with_huge_bracket_exits_3(tmp_path, capsys, x_max, message
                  "--steps", "3", "--out", str(out)])
     assert code == 3
     assert message in capsys.readouterr().err
-    assert not (out / "sweep.csv").exists()
+    assert not out.exists()
 
 
 def test_closed_sweep_keeps_f_at_most_one_for_large_x(tmp_path):

@@ -363,5 +363,5 @@ def test_raw_fidelity_outside_unit_interval_raises():
 
 
 def test_fidelity_pair_sum():
-    pair = q.FidelityPair(F=0.25, G=0.5, x=1.0)
+    pair = q.FidelityPair(F=0.25, G=0.5)
     assert pair.f_plus_g == 0.75

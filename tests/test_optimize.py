@@ -37,7 +37,6 @@ def test_trade_off_at_optimum_region():
     assert pair.F == pytest.approx(0.8615497903412858, abs=1e-12)
     assert pair.G == pytest.approx(0.90816856696589, abs=1e-12)
     assert pair.f_plus_g == pytest.approx(1.7697183573071757, abs=1e-12)
-    assert pair.x == 1.2
 
 
 def test_trade_off_at_unity():
