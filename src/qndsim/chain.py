@@ -192,7 +192,7 @@ def outcome_grid(
     center = signal.mean() - probe.mean() / t
     halfspan = OUTCOME_SPAN_SIGMAS * math.sqrt(signal.variance() + probe.variance() / t**2)
     lo, hi = center - halfspan, center + halfspan
-    requested = Grid(lo, hi, n_points or signal.grid.n_points)
+    requested = Grid(lo, hi, signal.grid.n_points if n_points is None else n_points)
     y0, h = signal.grid.x_min, signal.grid.step
     filter_width = math.sqrt(probe.variance()) / t
     k = max(1, min(round(requested.step / h), math.floor(filter_width / h)))

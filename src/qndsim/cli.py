@@ -10,7 +10,10 @@ All numeric files are locale-independent: decimal points, fixed column
 order, LF line endings, 17 significant digits.  Each command computes its
 files in memory; ``main`` writes them, with a ``manifest.json`` listing
 them, only once the command has returned.  So every run that exits 0 or 1
-writes ``manifest.json`` and a run that exits 2 or 3 writes nothing.
+writes ``manifest.json`` and a run that exits 2 or 3 writes nothing.  The
+manifest's ``config`` holds every parsed flag but ``--out`` and ``--seed``
+(the seed has its own key), with ``--signal`` in canonical form, plus the
+transmittivity and output squeeze factor that ``chain`` derives from phi.
 Identical flags, seed and tool version reproduce identical numeric outputs.
 """
 
@@ -31,7 +34,9 @@ from .chain import (
     check_phase, conditional_output, homodyne_distribution, make_outcome, sample_outcomes,
 )
 from .errors import InvalidParameterError, QndSimError
+from .fidelity import OUTCOME_NODES
 from .grids import (
+    DEFAULT_GRID_POINTS,
     GaussianSpec,
     Grid,
     GridPolicy,
@@ -39,6 +44,7 @@ from .grids import (
     build_gaussian,
     build_state,
     density,
+    format_state_spec,
     overlap,
     parse_state_spec,
 )
@@ -83,26 +89,26 @@ def _seed_arg(text: str) -> int:
     return value
 
 
-def _outcome_arg(text: str) -> tuple[str, object]:
+def _outcome_arg(text: str) -> str | list[float]:
+    """'sample:<n>' with n an integer > 0, or the list of fixed outcome values."""
     if text.startswith("sample:"):
-        return "sample", _positive_int(text.partition(":")[2])
+        return f"sample:{_positive_int(text.partition(':')[2])}"
     try:
-        values = [float(part) for part in text.split(",")]
+        return [float(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an outcome value, a comma list of values, or sample:<n>; got {text!r}"
         ) from None
-    return "fixed", values
 
 
-def _signal_arg(text: str) -> tuple[str, object]:
+def _signal_arg(text: str) -> str:
+    """The canonical --signal text: 'file:<path>' as given, or a spec's canonical text."""
     if text.startswith("file:"):
-        path = text.partition(":")[2]
-        if not path:
+        if text == "file:":
             raise argparse.ArgumentTypeError("file: signal needs a path, got empty string")
-        return "file", path
+        return text
     try:
-        return "spec", parse_state_spec(text)
+        return format_state_spec(parse_state_spec(text))
     except InvalidParameterError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
 
@@ -129,33 +135,24 @@ def _json(payload: dict) -> str:
 # signal loading
 
 
-def _load_signal(signal_arg: tuple[str, object], policy: GridPolicy) -> WaveFunction:
-    kind, payload = signal_arg
+def _load_signal(signal: str, policy: GridPolicy) -> WaveFunction:
+    kind, _, path = signal.partition(":")
     if kind == "file":
         try:
-            data = np.loadtxt(str(payload), delimiter=",", comments="#", ndmin=2)
+            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
         except ValueError as err:
-            raise InvalidParameterError(f"signal file {payload} is not numeric: {err}") from None
+            raise InvalidParameterError(f"signal file {path} is not numeric: {err}") from None
         if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 16:
             raise InvalidParameterError(
-                f"signal file {payload} must hold at least 16 rows of x,amplitude"
+                f"signal file {path} must hold at least 16 rows of x,amplitude"
             )
         x, amp = data[:, 0], data[:, 1]
         grid = Grid(float(x[0]), float(x[-1]), len(x))
         if not np.allclose(x, grid.points, rtol=0.0, atol=1e-9 * (grid.x_max - grid.x_min)):
-            raise InvalidParameterError(f"signal file {payload} is not uniformly spaced")
+            raise InvalidParameterError(f"signal file {path} is not uniformly spaced")
         return WaveFunction.normalized(grid, amp)
-    return build_state(payload, policy.grid_for([payload]))
-
-
-def _signal_text(signal_arg: tuple[str, object]) -> str:
-    """The --signal value that reproduces signal_arg."""
-    kind, spec = signal_arg
-    if kind == "file":
-        return f"file:{spec}"
-    if isinstance(spec, GaussianSpec):
-        return f"gaussian:{spec.mean!r},{spec.variance!r}"
-    return f"cat:{spec.separation!r},{spec.component_variance!r}"
+    spec = parse_state_spec(signal)
+    return build_state(spec, policy.grid_for([spec]))
 
 
 def _check_bracket(args: argparse.Namespace) -> None:
@@ -175,14 +172,15 @@ def _state_summary(wf: WaveFunction) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns (exit code, {file name: text}, manifest config)
+# commands: each returns (exit code, {file name: text}, the values it derives
+# for the manifest's config beside the parsed flags)
 
 Files = dict[str, str]
 
 
 def cmd_chain(args: argparse.Namespace) -> tuple[int, Files, dict]:
     policy = GridPolicy(n_points=args.grid_n, halfspan=args.grid_span)
-    probe_spec = GaussianSpec(mean=0.0, variance=args.probe_var)
+    probe_spec = GaussianSpec(mean=0.0, variance=args.probe_variance)
     check_phase(args.phi)
     signal = _load_signal(args.signal, policy)
     probe = build_gaussian(probe_spec, policy.grid_for([probe_spec]))
@@ -200,9 +198,8 @@ def cmd_chain(args: argparse.Namespace) -> tuple[int, Files, dict]:
         "outcomes": [],
     }
 
-    mode, payload = args.outcome
-    if mode == "fixed":
-        for i, x0 in enumerate(payload):
+    if isinstance(args.outcome, list):
+        for i, x0 in enumerate(args.outcome):
             conditional = conditional_output(signal, probe, args.phi, x0)
             name = f"conditional_{i:02d}.csv"
             dist = density(conditional)
@@ -218,27 +215,19 @@ def cmd_chain(args: argparse.Namespace) -> tuple[int, Files, dict]:
             record.update(_state_summary(conditional))
             summary["outcomes"].append(record)
     else:
-        draws = sample_outcomes(homodyne, payload, args.seed)
+        count = int(args.outcome.partition(":")[2])
+        draws = sample_outcomes(homodyne, count, args.seed)
         files["samples.csv"] = _csv(["x0"], [draws])
         summary["samples"] = {
-            "count": int(payload),
+            "count": count,
             "mean": float(draws.mean()),
             "std": float(draws.std()),
             "seed": args.seed,
         }
 
     files["summary.json"] = _json(summary)
-    config = {
-        "phi": args.phi,
-        "transmittivity": math.cos(args.phi) ** 2,
-        "output_squeeze_factor": math.cos(args.phi),
-        "probe_variance": probe_spec.variance,
-        "signal": _signal_text(args.signal),
-        "outcome": f"sample:{payload}" if mode == "sample" else [float(v) for v in payload],
-        "grid_n": args.grid_n,
-        "grid_span": args.grid_span,
-    }
-    return EXIT_OK, files, config
+    cos_phi = math.cos(args.phi)
+    return EXIT_OK, files, {"transmittivity": cos_phi**2, "output_squeeze_factor": cos_phi}
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[int, Files, dict]:
@@ -258,17 +247,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[int, Files, dict]:
     f_col = np.array([p.F for p in pairs])
     g_col = np.array([p.G for p in pairs])
     sweep_csv = _csv(["x", "F", "G", "F_plus_G"], [xs, f_col, g_col, f_col + g_col])
-    config = {
-        "x_min": args.x_min,
-        "x_max": args.x_max,
-        "steps": args.steps,
-        "mode": args.mode,
-        "phi": args.phi,
-        "signal": _signal_text(args.signal),
-        "grid_n": args.grid_n,
-        "outcome_nodes": args.outcome_nodes,
-    }
-    return EXIT_OK, {"sweep.csv": sweep_csv}, config
+    return EXIT_OK, {"sweep.csv": sweep_csv}, {}
 
 
 def cmd_optimize(args: argparse.Namespace) -> tuple[int, Files, dict]:
@@ -294,17 +273,7 @@ def cmd_optimize(args: argparse.Namespace) -> tuple[int, Files, dict]:
         payload["sigma_probe"] = args.sigma_probe
         payload["sigma_signal"] = sigma_s
         payload["tuned_phase"] = tune_phase(sigma_s, args.sigma_probe, report.x_m)
-    config = {
-        "mode": args.mode,
-        "tol": args.tol,
-        "phi": args.phi,
-        "signal": _signal_text(args.signal),
-        "sigma_probe": args.sigma_probe,
-        "x_min": args.x_min,
-        "x_max": args.x_max,
-        "grid_n": args.grid_n,
-    }
-    return EXIT_OK, {"report.json": _json(payload)}, config
+    return EXIT_OK, {"report.json": _json(payload)}, {}
 
 
 def cmd_validate(args: argparse.Namespace) -> tuple[int, Files, dict]:
@@ -318,7 +287,7 @@ def cmd_validate(args: argparse.Namespace) -> tuple[int, Files, dict]:
         )
     report = _json({"suite": args.suite, "passed": all_passed, "checks": results})
     code = EXIT_OK if all_passed else EXIT_VALIDATION
-    return code, {"report.json": report}, {"suite": args.suite}
+    return code, {"report.json": report}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     chain = sub.add_parser("chain", help="Run the measurement chain once and dump densities.")
     chain.add_argument("--phi", type=float, required=True, help="interferometer phase (rad)")
-    chain.add_argument("--probe-var", type=float, required=True, help="probe density variance")
-    chain.add_argument("--signal", type=_signal_arg, default=_signal_arg(DEFAULT_SIGNAL))
+    chain.add_argument("--probe-var", dest="probe_variance", metavar="PROBE_VAR", type=float,
+                       required=True, help="probe density variance")
+    chain.add_argument("--signal", type=_signal_arg, default=DEFAULT_SIGNAL)
     chain.add_argument(
         "--outcome",
         type=_outcome_arg,
@@ -345,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chain.add_argument("--seed", type=_seed_arg, default=0)
     chain.add_argument("--out", required=True, metavar="DIR")
-    chain.add_argument("--grid-n", type=_positive_int, default=2048)
+    chain.add_argument("--grid-n", type=_positive_int, default=DEFAULT_GRID_POINTS)
     chain.add_argument("--grid-span", type=float, default=None, help="half-width override")
     chain.set_defaults(func=cmd_chain)
 
@@ -354,10 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--x-max", type=float, required=True)
     sweep.add_argument("--steps", type=_positive_int, required=True)
     sweep.add_argument("--mode", choices=("closed", "numeric"), required=True)
-    sweep.add_argument("--signal", type=_signal_arg, default=_signal_arg(DEFAULT_SIGNAL))
+    sweep.add_argument("--signal", type=_signal_arg, default=DEFAULT_SIGNAL)
     sweep.add_argument("--phi", type=float, default=DEFAULT_PHI)
-    sweep.add_argument("--grid-n", type=_positive_int, default=2048)
-    sweep.add_argument("--outcome-nodes", type=_positive_int, default=1024,
+    sweep.add_argument("--grid-n", type=_positive_int, default=DEFAULT_GRID_POINTS)
+    sweep.add_argument("--outcome-nodes", type=_positive_int, default=OUTCOME_NODES,
                        help="N sets the outcome step, the multiple of the signal grid "
                        "step nearest span/(N-1); the node count follows from the span")
     sweep.add_argument("--out", required=True, metavar="DIR")
@@ -365,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     optimize = sub.add_parser("optimize", help="Locate the F+G maximum and the F=G crossing.")
     optimize.add_argument("--mode", choices=("closed", "numeric"), required=True)
-    optimize.add_argument("--signal", type=_signal_arg, default=_signal_arg(DEFAULT_SIGNAL))
+    optimize.add_argument("--signal", type=_signal_arg, default=DEFAULT_SIGNAL)
     optimize.add_argument("--tol", type=float, default=1e-4)
     optimize.add_argument("--phi", type=float, default=DEFAULT_PHI)
     optimize.add_argument("--sigma-probe", type=float, default=None)
@@ -383,6 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NOT_CONFIG = ("command", "func", "out", "seed")  # seed: recorded at the manifest's top level
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -390,10 +363,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help itself
         return int(exc.code or 0)
     try:
-        code, files, config = args.func(args)
+        code, files, derived = args.func(args)
+        flags = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
         manifest = {
             "command": args.command,
-            "config": config,
+            "config": {**flags, **derived},
             "outputs": sorted(files),
             "seed": getattr(args, "seed", None),
             "tool_version": __version__,

@@ -9,9 +9,9 @@ trapezoidal sums on uniform grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Union
+from typing import Callable, ClassVar, Iterable, Union
 
 import numpy as np
 from scipy.linalg.lapack import zgtsv
@@ -72,6 +72,7 @@ class GaussianSpec:
     variance = 1/4 is the vacuum; smaller is squeezed, larger anti-squeezed.
     """
 
+    kind: ClassVar[str] = "gaussian"
     mean: float
     variance: float
 
@@ -88,6 +89,7 @@ class GaussianSpec:
 class CatSpec:
     """Even superposition of two Gaussians centered at +/- separation."""
 
+    kind: ClassVar[str] = "cat"
     separation: float
     component_variance: float
 
@@ -133,13 +135,10 @@ class WaveFunction:
         return math.sqrt(float(self.grid.weights @ np.abs(self.amplitudes) ** 2))
 
     def mean(self) -> float:
-        prob = np.abs(self.amplitudes) ** 2
-        return float(self.grid.weights @ (self.grid.points * prob))
+        return density(self).mean()
 
     def variance(self) -> float:
-        prob = np.abs(self.amplitudes) ** 2
-        m = float(self.grid.weights @ (self.grid.points * prob))
-        return float(self.grid.weights @ ((self.grid.points - m) ** 2 * prob))
+        return density(self).variance()
 
     def edge_leak(self) -> float:
         """Largest edge amplitude relative to the peak amplitude."""
@@ -311,11 +310,15 @@ def parse_state_spec(text: str) -> StateSpec:
         first, second = float(parts[0]), float(parts[1])
     except ValueError:
         raise InvalidParameterError(f"bad numeric field in state spec {text!r}") from None
-    if kind == "gaussian":
-        return GaussianSpec(mean=first, variance=second)
-    if kind == "cat":
-        return CatSpec(separation=first, component_variance=second)
+    for spec_type in (GaussianSpec, CatSpec):
+        if kind == spec_type.kind:
+            return spec_type(first, second)
     raise InvalidParameterError(f"unknown state kind {kind!r} in {text!r}")
+
+
+def format_state_spec(spec: StateSpec) -> str:
+    """The canonical text of a spec: parse_state_spec reads back an equal spec."""
+    return f"{spec.kind}:" + ",".join(repr(field) for field in astuple(spec))
 
 
 def _spline_slopes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

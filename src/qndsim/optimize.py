@@ -8,6 +8,8 @@ best operating point.  Closed-form Gaussian fidelities make that a cheap
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -23,6 +25,7 @@ from .errors import (
     QndSimError,
 )
 from .fidelity import (
+    OUTCOME_NODES,
     FidelityPair,
     fidelity_pair,
     gaussian_distribution_fidelity,
@@ -34,6 +37,7 @@ GOLDEN_SECTION = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_BRACKET = (0.05, 20.0)
 COARSE_SCAN_POINTS = 64
 MAX_BISECTIONS = 200
+_PACKAGE_DIR = os.path.dirname(__file__)
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,15 @@ class TradeOffReport:
 def trade_off(x: float) -> FidelityPair:
     """Closed-form (F, G) at filter ratio x."""
     return FidelityPair(F=gaussian_state_fidelity(x), G=gaussian_distribution_fidelity(x))
+
+
+def _stacklevel_outside_package() -> int:
+    """The warnings.warn stacklevel, seen from this function's caller, of the first frame
+    outside this package: the warning names the calling line, not a line of qndsim."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def maximize_trade_off(
@@ -81,7 +94,7 @@ def maximize_trade_off(
             "objective shows multiple local maxima on the coarse scan; "
             "golden section may return a local optimum",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=_stacklevel_outside_package(),
         )
     peak = int(np.argmax(vals))
     a = float(xs[max(peak - 1, 0)])
@@ -152,7 +165,7 @@ def numeric_trade_off_curve(
     signal: WaveFunction,
     probe_variance_list: Sequence[float],
     phi: float,
-    n_outcomes: int = 1024,
+    n_outcomes: int = OUTCOME_NODES,
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> list[FidelityPair]:
     """Numeric (F, G) for one signal across a list of probe variances.

@@ -1,5 +1,6 @@
 """CLI contract: flags, exit codes, file formats, determinism, manifests."""
 
+import argparse
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import qndsim as q
 from qndsim import checks
-from qndsim.cli import main
+from qndsim.cli import build_parser, main
 
 GAUSSIAN_FLAGS = ["--phi", "0.7854", "--probe-var", "0.25", "--signal", "gaussian:0,0.25"]
 
@@ -108,6 +109,39 @@ def test_manifest_lists_exactly_the_files_produced(tmp_path, command, produced):
     assert manifest["seed"] == (3 if command[0] == "chain" else None)
     assert set(manifest["outputs"]) == produced
     assert {p.name for p in out.iterdir()} == produced | {"manifest.json"}
+
+
+@pytest.mark.parametrize("command", [
+    ["chain", *GAUSSIAN_FLAGS, "--outcome", "sample:010", "--seed", "3", "--grid-n", "256",
+     "--grid-span", "6"],
+    ["chain", "--phi", "0.7", "--probe-var", "0.25", "--outcome=-0.5,0", "--grid-n", "256"],
+    ["sweep", "--mode", "closed", "--x-min", "0.5", "--x-max", "2", "--steps", "3"],
+    ["optimize", "--mode", "closed", "--sigma-probe", "0.6"],
+    ["validate", "--suite", "limits"],
+])
+def test_manifest_config_records_every_parsed_flag(tmp_path, command):
+    argv = [*command, "--out", str(tmp_path / "run")]
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices[command[0]]._actions if a.option_strings}
+    dests -= {"help", "out", "seed"}
+    assert main(argv) == 0
+    config = json.loads((tmp_path / "run" / "manifest.json").read_text())["config"]
+    derived = {"transmittivity", "output_squeeze_factor"} if command[0] == "chain" else set()
+    assert set(config) == dests | derived
+    assert {dest: config[dest] for dest in dests} == {dest: getattr(args, dest) for dest in dests}
+
+
+@pytest.mark.parametrize("signal, recorded", [
+    ("gaussian:0,.25", "gaussian:0.0,0.25"),
+    ("cat:1.8,2.025e-1", "cat:1.8,0.2025"),
+])
+def test_manifest_records_the_canonical_signal(tmp_path, signal, recorded):
+    out = tmp_path / "run"
+    assert main(["sweep", "--mode", "closed", "--x-min", "0.5", "--x-max", "2", "--steps", "3",
+                 "--signal", signal, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["signal"] == recorded
 
 
 def test_out_naming_a_regular_file_exits_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ from scipy.interpolate import CubicSpline
 
 import qndsim as q
 from qndsim.errors import GridMismatchError, GridTooNarrowError, InvalidParameterError
+from qndsim.grids import format_state_spec
 
 from helpers import gaussian_amplitude
 
@@ -131,6 +132,10 @@ def test_photon_number_printed_formula():
 def test_parse_state_spec_round_trips():
     assert q.parse_state_spec("gaussian:0.5,0.25") == q.GaussianSpec(0.5, 0.25)
     assert q.parse_state_spec("cat:2,0.125") == q.CatSpec(2.0, 0.125)
+    assert format_state_spec(q.parse_state_spec("gaussian:0,.25")) == "gaussian:0.0,0.25"
+    for first, second in ((0.1 + 0.2, 1e-300), (-1e-300, 0.1 + 0.2), (0.0, 5e-324)):
+        for spec in (q.GaussianSpec(first, second), q.CatSpec(abs(first), second)):
+            assert q.parse_state_spec(format_state_spec(spec)) == spec
     for bad in ("gaussian", "gaussian:1", "ring:1,2", "gaussian:a,b", "gaussian:1,2,3"):
         with pytest.raises(InvalidParameterError):
             q.parse_state_spec(bad)

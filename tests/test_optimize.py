@@ -92,8 +92,19 @@ def test_maximize_rejects_tolerance_below_float_resolution():
 
 
 def test_maximize_warns_on_multimodal_scan():
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning, match="multiple local maxima") as record:
         q.maximize_trade_off(lambda x: math.sin(5.0 * x), 0.0, 5.0, 1e-4)
+    assert [w.filename for w in record] == [__file__]
+
+
+def test_trade_off_report_warns_at_the_callers_line():
+    def multimodal_pair(x):  # F + G = 1 + sin(5 x): several maxima; F - G = x - 2
+        return q.FidelityPair(F=0.5 * (1.0 + math.sin(5.0 * x) + x - 2.0),
+                              G=0.5 * (1.0 + math.sin(5.0 * x) - x + 2.0))
+
+    with pytest.warns(RuntimeWarning, match="multiple local maxima") as record:
+        qndsim.optimize._trade_off_report(multimodal_pair, 0.2, 5.0, 1e-4)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_equal_fidelity_point_location():
