@@ -52,11 +52,8 @@ def main() -> None:
         phi = math.pi / 4
         cat_spec = q.CatSpec(2.0, 0.25)
         cat = q.build_cat(2.0, 0.25, q.auto_grid([cat_spec]))
-        sigma = math.sqrt(cat.variance())
         ratios = np.logspace(-1, 1, 15)
-        variances = [(r * sigma * math.tan(phi)) ** 2 for r in ratios]
-        pairs = q.numeric_trade_off_curve(cat, variances, phi, n_outcomes=512,
-                                          grid_points=1024)
+        pairs = q.numeric_trade_off_curve(cat, ratios, phi, n_outcomes=512, grid_points=1024)
         cat_rows = np.array([(r, p.F, p.G, p.f_plus_g) for r, p in zip(ratios, pairs)])
         np.savetxt(out / "cat_curve.csv", cat_rows, delimiter=",",
                    header="x,F,G,F_plus_G", comments="")

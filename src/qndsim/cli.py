@@ -14,6 +14,8 @@ writes ``manifest.json`` and a run that exits 2 or 3 writes nothing.  The
 manifest's ``config`` holds every parsed flag but ``--out`` and ``--seed``
 (the seed has its own key), with ``--signal`` in canonical form, plus the
 transmittivity and output squeeze factor that ``chain`` derives from phi.
+An unset ``optimize --tol`` is recorded as null and takes the report
+function's own default; ``report.json`` states the tolerance used.
 Identical flags, seed and tool version reproduce identical numeric outputs.
 """
 
@@ -238,11 +240,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[int, Files, dict]:
         pairs = [trade_off(float(x)) for x in xs]
     else:
         signal = _load_signal(args.signal, GridPolicy(n_points=args.grid_n))
-        sigma_s, t = math.sqrt(signal.variance()), math.tan(args.phi)
-        variances = [(float(x) * sigma_s * t) ** 2 for x in xs]
-        pairs = numeric_trade_off_curve(
-            signal, variances, args.phi, args.outcome_nodes, args.grid_n
-        )
+        pairs = numeric_trade_off_curve(signal, xs, args.phi, args.outcome_nodes, args.grid_n)
 
     f_col = np.array([p.F for p in pairs])
     g_col = np.array([p.G for p in pairs])
@@ -254,18 +252,13 @@ def cmd_optimize(args: argparse.Namespace) -> tuple[int, Files, dict]:
     _check_bracket(args)
     policy = GridPolicy(n_points=args.grid_n)
     signal = _load_signal(args.signal, policy)
+    search = {"lo": args.x_min, "hi": args.x_max}
+    if args.tol is not None:  # unset: the report function's own default
+        search["tol"] = args.tol
     if args.mode == "closed":
-        report = gaussian_trade_off_report(lo=args.x_min, hi=args.x_max, tol=args.tol)
+        report = gaussian_trade_off_report(**search)
     else:
-        report = numeric_trade_off_report(
-            signal,
-            args.phi,
-            lo=args.x_min,
-            hi=args.x_max,
-            tol=max(args.tol, 1e-3),
-            n_outcomes=max(256, args.grid_n // 2),
-            grid_points=args.grid_n,
-        )
+        report = numeric_trade_off_report(signal, args.phi, grid_points=args.grid_n, **search)
     payload = dataclasses.asdict(report)
     payload["mode"] = args.mode
     if args.sigma_probe is not None:
@@ -336,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     optimize = sub.add_parser("optimize", help="Locate the F+G maximum and the F=G crossing.")
     optimize.add_argument("--mode", choices=("closed", "numeric"), required=True)
     optimize.add_argument("--signal", type=_signal_arg, default=DEFAULT_SIGNAL)
-    optimize.add_argument("--tol", type=float, default=1e-4)
+    optimize.add_argument("--tol", type=float, default=None,
+                          help="search tolerance (default: 1e-4 closed, 1e-3 numeric)")
     optimize.add_argument("--phi", type=float, default=DEFAULT_PHI)
     optimize.add_argument("--sigma-probe", type=float, default=None)
     optimize.add_argument("--x-min", type=float, default=0.2)

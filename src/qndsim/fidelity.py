@@ -137,22 +137,26 @@ def distribution_fidelity(
     return fidelity_pair(signal, probe, phi, n_outcomes).G
 
 
+def _check_ratio(x: float) -> None:
+    """Refuse a filter ratio x that is not positive with 2 x^2 finite."""
+    if not (x > 0 and math.isfinite(2.0 * x * x)):
+        raise InvalidParameterError(f"filter ratio x must be positive with 2 x^2 finite, got {x}")
+
+
 def gaussian_state_fidelity(x: float) -> float:
     """Closed-form F = sqrt(2) x / sqrt(1 + 2 x^2) for Gaussian signal and probe.
 
     Rounding can land one ulp above 1 for large x; `_checked_unit` clamps it, as on the
     numeric route.
     """
-    if not (x > 0 and math.isfinite(2.0 * x * x)):
-        raise InvalidParameterError(f"filter ratio x must be positive with 2 x^2 finite, got {x}")
+    _check_ratio(x)
     return _checked_unit(math.sqrt(2.0) * x / math.sqrt(1.0 + 2.0 * x * x))
 
 
 def gaussian_distribution_fidelity(x: float) -> float:
     """Closed-form G = 2 sqrt(1 + x^2) / (2 + x^2) for Gaussian signal and probe, through
     `_checked_unit` like F."""
-    if not (x > 0 and math.isfinite(2.0 * x * x)):
-        raise InvalidParameterError(f"filter ratio x must be positive with 2 x^2 finite, got {x}")
+    _check_ratio(x)
     return _checked_unit(2.0 * math.sqrt(1.0 + x * x) / (2.0 + x * x))
 
 

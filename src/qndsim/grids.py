@@ -40,6 +40,10 @@ class Grid:
             )
         if self.n_points < 16:
             raise InvalidParameterError(f"grid needs n_points >= 16, got {self.n_points}")
+        if not math.isfinite(self.step):  # an infinite bound gives an infinite step too
+            raise InvalidParameterError(
+                f"grid needs finite bounds and step, got [{self.x_min}, {self.x_max}]"
+            )
 
     @property
     def step(self) -> float:

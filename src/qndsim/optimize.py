@@ -27,6 +27,7 @@ from .errors import (
 from .fidelity import (
     OUTCOME_NODES,
     FidelityPair,
+    _check_ratio,
     fidelity_pair,
     gaussian_distribution_fidelity,
     gaussian_state_fidelity,
@@ -163,27 +164,29 @@ def tune_phase(sigma_s: float, sigma_p: float, x_target: float) -> float:
 
 def numeric_trade_off_curve(
     signal: WaveFunction,
-    probe_variance_list: Sequence[float],
+    xs: Sequence[float],
     phi: float,
     n_outcomes: int = OUTCOME_NODES,
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> list[FidelityPair]:
-    """Numeric (F, G) for one signal across a list of probe variances.
+    """Numeric (F, G) for one signal across a list of filter ratios x.
 
-    Points evaluate in input order; a failure at point i re-raises the
-    underlying error with the index and variance attached.
+    Ratio x takes the Gaussian probe of variance (x sigma_s tan phi)^2, with sigma_s the
+    signal's numeric standard deviation, so non-Gaussian signals work.  Points evaluate in
+    input order; a failure at point i re-raises the underlying error with the index and x
+    attached.
     """
     check_phase(phi)
+    sigma_s, t = math.sqrt(signal.variance()), math.tan(phi)
     pairs: list[FidelityPair] = []
-    for i, variance in enumerate(probe_variance_list):
+    for i, x in enumerate(xs):
         try:
-            spec = GaussianSpec(mean=0.0, variance=float(variance))
+            _check_ratio(x)
+            spec = GaussianSpec(mean=0.0, variance=(float(x) * sigma_s * t) ** 2)
             probe = build_gaussian(spec, auto_grid([spec], n_points=grid_points))
             pairs.append(fidelity_pair(signal, probe, phi, n_outcomes=n_outcomes))
         except QndSimError as err:
-            raise type(err)(
-                f"trade-off point {i} (probe variance {variance}): {err}"
-            ) from err
+            raise type(err)(f"trade-off point {i} (filter ratio {x}): {err}") from err
     return pairs
 
 
@@ -227,20 +230,12 @@ def numeric_trade_off_report(
     lo: float = 0.2,
     hi: float = 5.0,
     tol: float = 1e-3,
-    n_outcomes: int = 512,
     grid_points: int = 1024,
 ) -> TradeOffReport:
-    """Trade-off report driven by the numeric fidelities.
-
-    The filter ratio x maps to a probe variance (x sigma_s tan phi)^2 using
-    the signal's numeric standard deviation, so non-Gaussian signals work.
-    """
-    check_phase(phi)
-    sigma_s = math.sqrt(signal.variance())
-    t = math.tan(phi)
-
-    def pair_at(x: float) -> FidelityPair:
-        variance = (x * sigma_s * t) ** 2
-        return numeric_trade_off_curve(signal, [variance], phi, n_outcomes, grid_points)[0]
-
-    return _trade_off_report(pair_at, lo, hi, tol)
+    """Trade-off report driven by the numeric fidelities: `numeric_trade_off_curve` at each
+    x the search asks for, on max(256, grid_points // 2) outcome nodes."""
+    n_outcomes = max(256, grid_points // 2)
+    return _trade_off_report(
+        lambda x: numeric_trade_off_curve(signal, [x], phi, n_outcomes, grid_points)[0],
+        lo, hi, tol,
+    )

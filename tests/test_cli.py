@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,17 @@ def test_chain_nonfinite_outcome_exits_3(tmp_path, capsys, flag):
     code = main(["chain", *GAUSSIAN_FLAGS, *flag, "--out", str(tmp_path / "bad")])
     assert code == 3
     assert "outcome density p(x0)=0.000e+00" in capsys.readouterr().err
+
+
+def test_chain_infinite_grid_span_exits_3_naming_the_grid(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["chain", "--phi", "0.7", "--probe-var", "0.25", "--outcome", "0",
+                     "--grid-span", "inf", "--out", str(tmp_path / "span")])
+    assert code == 3
+    assert "error: grid needs finite bounds and step, got [" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert not (tmp_path / "span").exists()
 
 
 def test_chain_sampling_is_byte_deterministic(tmp_path):
@@ -347,6 +359,18 @@ def test_optimize_unresolvable_tolerance_exits_3(tmp_path, capsys):
                  "--out", str(tmp_path / "tiny")])
     assert code == 3
     assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol_flag, tol_config, tolerance", [
+    ([], None, 1e-3),  # unset: recorded as null, the numeric report's own default applies
+    (["--tol", "2e-4"], 2e-4, 2e-4),
+])
+def test_optimize_numeric_records_and_honours_tol(tmp_path, tol_flag, tol_config, tolerance):
+    out = tmp_path / "tol"
+    assert main(["optimize", "--mode", "numeric", "--grid-n", "256", *tol_flag,
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["tol"] == tol_config
+    assert json.loads((out / "report.json").read_text())["tolerance"] == tolerance
 
 
 @pytest.mark.slow

@@ -342,7 +342,7 @@ def test_numeric_curve_makes_one_kernel_pass_per_point(monkeypatch):
     monkeypatch.setattr(qndsim.fidelity, "_outcome_pass", counting)
     signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=256))
     pairs = q.numeric_trade_off_curve(
-        signal, [0.05, 0.25, 1.0], QUARTER_PI, n_outcomes=128, grid_points=256
+        signal, [math.sqrt(0.05) / 0.5, 1.0, 2.0], QUARTER_PI, n_outcomes=128, grid_points=256
     )
     assert len(pairs) == 3
     assert len(passes) == 3

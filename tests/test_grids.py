@@ -32,6 +32,12 @@ def test_grid_validation():
         q.Grid(-1.0, 1.0, 8)
 
 
+@pytest.mark.parametrize("bounds", [(-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308)])
+def test_grid_refuses_infinite_bounds_or_step(bounds):
+    with pytest.raises(InvalidParameterError, match=r"finite bounds and step, got \["):
+        q.Grid(*bounds, 16)
+
+
 def test_vacuum_peak_amplitude():
     # odd point count puts x = 0 on the grid; peak is (pi/2)^(-1/4)
     vac = q.build_gaussian(VACUUM, q.Grid(-10.0, 10.0, 2049))

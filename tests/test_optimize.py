@@ -14,6 +14,7 @@ from qndsim.errors import (
     NonFiniteObjectiveError,
     NoSignChangeError,
 )
+from qndsim.fidelity import fidelity_pair
 from qndsim.optimize import _bisect
 
 # refined operating points pinned by an independent golden-section/bisection
@@ -175,10 +176,7 @@ def test_gaussian_trade_off_report():
 def test_numeric_curve_matches_closed_forms():
     signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=1024))
     xs = [0.5, 1.0, 2.0]
-    variances = [(x * 0.5 * math.tan(QUARTER_PI)) ** 2 for x in xs]
-    pairs = q.numeric_trade_off_curve(
-        signal, variances, QUARTER_PI, n_outcomes=512, grid_points=1024
-    )
+    pairs = q.numeric_trade_off_curve(signal, xs, QUARTER_PI, n_outcomes=512, grid_points=1024)
     for x, pair in zip(xs, pairs):
         assert abs(pair.F - q.gaussian_state_fidelity(x)) < 1e-3
         assert abs(pair.G - q.gaussian_distribution_fidelity(x)) < 1e-3
@@ -190,11 +188,31 @@ def test_numeric_curve_attributes_failures_to_points():
         q.numeric_trade_off_curve(signal, [0.25, -1.0], QUARTER_PI, n_outcomes=256)
 
 
+def test_numeric_curve_maps_each_ratio_to_its_gaussian_probe():
+    phi = 0.7
+    cat_spec = q.CatSpec(1.8, 0.2025)
+    signal = q.build_cat(1.8, 0.2025, q.auto_grid([cat_spec], n_points=512))
+    sigma_s = math.sqrt(signal.variance())
+    xs = [0.5, 1.2]
+    pairs = q.numeric_trade_off_curve(signal, xs, phi, n_outcomes=256, grid_points=512)
+    for x, pair in zip(xs, pairs):
+        spec = q.GaussianSpec(0.0, (x * sigma_s * math.tan(phi)) ** 2)
+        probe = q.build_gaussian(spec, q.auto_grid([spec], n_points=512))
+        assert pair == fidelity_pair(signal, probe, phi, n_outcomes=256)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_numeric_curve_refuses_ratios_naming_the_point(bad):
+    signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=256))
+    with pytest.raises(InvalidParameterError, match=r"point 1 \(filter ratio"):
+        q.numeric_trade_off_curve(signal, [1.0, bad], QUARTER_PI, n_outcomes=128,
+                                  grid_points=256)
+
+
 def test_numeric_curve_preserves_order():
     signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=512))
-    variances = [1.0, 0.0625]  # deliberately out of sorted order
-    pairs = q.numeric_trade_off_curve(signal, variances, QUARTER_PI, n_outcomes=256,
-                                      grid_points=512)
+    xs = [2.0, 0.5]  # deliberately out of sorted order
+    pairs = q.numeric_trade_off_curve(signal, xs, QUARTER_PI, n_outcomes=256, grid_points=512)
     assert pairs[0].F > pairs[1].F  # wider filter keeps the state closer
 
 
@@ -202,7 +220,7 @@ def test_numeric_curve_preserves_order():
 def test_numeric_optimum_matches_closed_form():
     signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=1024))
     report = q.numeric_trade_off_report(
-        signal, QUARTER_PI, lo=0.6, hi=2.5, tol=2e-3, n_outcomes=384, grid_points=1024
+        signal, QUARTER_PI, lo=0.6, hi=2.5, tol=2e-3, grid_points=1024
     )
     assert abs(report.x_m - X_M_REFINED) < 0.02
     assert abs(report.x_e - X_E_REFINED) < 0.05
@@ -218,7 +236,6 @@ def test_numeric_report_computes_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(qndsim.optimize, "fidelity_pair", counting)
     signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=256))
-    report = q.numeric_trade_off_report(signal, QUARTER_PI, tol=1e-2, n_outcomes=128,
-                                        grid_points=256)
+    report = q.numeric_trade_off_report(signal, QUARTER_PI, tol=1e-2, grid_points=256)
     assert len(probes) == report.evaluations
     assert len(set(probes)) == len(probes)
