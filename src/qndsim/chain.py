@@ -81,8 +81,9 @@ class JointWaveFunction:
         """Mode-1 state after a sharp mode-2 projection at the given reading.
 
         Every row of the amplitude matrix is fitted with scipy's not-a-knot spline along
-        mode 2 (one multi-column solve per row block), only the reading's interval is
-        formed, and the resulting slice is renormalized.  The slice equals
+        mode 2 (one multi-column zgtsv solve per row block, from numpy's bundled OpenBLAS
+        as in `_spline_slopes`), only the reading's interval is formed, and the resulting
+        slice is renormalized.  The slice equals
         `CubicSpline(grid2.points, A, axis=1)(reading)` bit for bit: the same interval
         (half-open, the last one closed, the end ones extended by the covers() slack)
         and PPoly's sum c3 + c2 s + c1 s^2 + c0 (s^2 s).  A slice of mass
@@ -228,9 +229,17 @@ def _outcome_pass(
     k = round(ogrid.step / h)
     last = round((ogrid.x_min - y0) / h) + k * (m - 1)
     t = math.tan(phi)
-    kappa = amplitude_interpolator(probe)((np.arange(n + k * (m - 1)) - last) * (t * h))
+    size = n + k * (m - 1)  # Python ints: checked before numpy sees them
+    fft_size = 1 << (size - 1).bit_length()
+    if fft_size * np.dtype(np.complex128).itemsize > np.iinfo(np.intp).max:
+        raise InvalidParameterError(
+            f"probe filter width {math.sqrt(probe.variance()) / t:.3g} needs a kernel of about "
+            f"2**{(size - 1).bit_length()} points at the signal grid step {h:.3g}, more than "
+            "numpy can index"
+        )
+    kappa = amplitude_interpolator(probe)((np.arange(size) - last) * (t * h))
     mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
-    mass_hat = np.conj(np.fft.fft(mass, 1 << (kappa.size - 1).bit_length()))
+    mass_hat = np.conj(np.fft.fft(mass, fft_size))
     p_raw = t * _row_sums(np.abs(kappa) ** 2, mass_hat, n, m).real
     return ogrid, p_raw, _row_sums(kappa, mass_hat, n, m), sliding_window_view(kappa, n)[::-k]
 

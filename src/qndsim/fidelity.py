@@ -34,8 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import zgemm
 
+from ._lapack import gram
 from .chain import NULL_OUTCOME_DENSITY, _outcome_pass, check_phase
 from .errors import GridMismatchError, InvalidParameterError, ResourceLimitError
 from .grids import Distribution, Grid, WaveFunction, amplitude_interpolator
@@ -229,7 +229,8 @@ def output_ensemble(
 ) -> DensityMatrixGrid:
     """Outcome-averaged output state rho(x, x') = int p(x0) psi_x0(x) psi_x0*(x') dx0.
 
-    rho = rows^T conj(rows) for the non-null rows of K, sqrt(t w / Z) psi_s(x) K(x0, x).
+    rho = rows^T conj(rows) for the non-null rows of K, sqrt(t w / Z) psi_s(x) K(x0, x): one
+    zgemm from numpy's bundled OpenBLAS (`_lapack.gram`), with no conjugate copy of the rows.
     Raises InvalidParameterError on grids that cannot resolve the probe filter, as F does.
     """
     check_phase(phi)
@@ -244,4 +245,4 @@ def output_ensemble(
     rows = figures.kernel[live]  # the one copy of K: its non-null rows
     rows *= signal.amplitudes
     rows *= np.sqrt(figures.weight[live])[:, None]  # row x0: sqrt(t w / Z) psi_s(x) K(x0, x)
-    return DensityMatrixGrid(signal.grid, zgemm(1.0, rows.T, rows.T, trans_b=2))
+    return DensityMatrixGrid(signal.grid, gram(rows))

@@ -14,8 +14,8 @@ from functools import cached_property
 from typing import Callable, ClassVar, Iterable, Union
 
 import numpy as np
-from scipy.linalg.lapack import zgtsv
 
+from . import _lapack
 from .errors import GridMismatchError, GridTooNarrowError, InvalidParameterError
 
 VACUUM_VARIANCE = 0.25
@@ -331,8 +331,10 @@ def _spline_slopes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     y holds one curve per column (axis 0 runs along x, len(x) >= 4).  This is scipy's
     `CubicSpline(x, y, axis=0)` system, bit for bit: the same band and right-hand side,
     solved for all columns by one LAPACK zgtsv call on the band cast to complex, as
-    `solve_banded((1, 1))` does for complex y.  y must be complex128 (every WaveFunction
-    is): real y would need dgtsv, whose bits differ from zgtsv's real part.
+    `solve_banded((1, 1))` does for complex y.  The call goes to the OpenBLAS bundled
+    with numpy (`_lapack.zgtsv`), which solves bit for bit as scipy's does.  y must be
+    complex128 (every WaveFunction is): real y would need dgtsv, whose bits differ from
+    zgtsv's real part.
     """
     n = x.size
     dx = np.diff(x)
@@ -351,7 +353,7 @@ def _spline_slopes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     rhs[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
     d = x[-1] - x[-3]
     rhs[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-    *_, derivs, info = zgtsv(lower, diag, upper, rhs.reshape(n, -1), 1, 1, 1, 1)
+    derivs, info = _lapack.zgtsv(lower, diag, upper, rhs.reshape(n, -1))
     if info:
         raise InvalidParameterError(f"spline system is singular (zgtsv info {info})")
     return derivs.reshape(y.shape), slope
@@ -371,14 +373,18 @@ def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:
     [x_min, x_max], NaN and +/-inf included, give 0.
 
     The spline is scipy's `CubicSpline` (not-a-knot) on the grid, fitted in
-    place by `_spline_slopes` (one LAPACK zgtsv call, no scipy.interpolate),
-    and the values equal `CubicSpline.__call__` bit for bit: the same interval
-    (half-open, the last one closed), the same s = x - knot, and the same
-    sum c3 + c2 s + c1 s^2 + c0 s^3 with s^3 = s^2 s.  Only the interval
-    search is replaced: the knots are uniform, so (x - x_min) / step + 1/2
-    truncates to one of two neighbouring intervals, and one comparison with
-    the knot between them decides.  The imaginary part is skipped when the
-    spline is real.
+    place by `_spline_slopes` (one LAPACK zgtsv call from numpy's bundled
+    OpenBLAS, no scipy), and the values equal `CubicSpline.__call__` bit for
+    bit: the same interval (half-open, the last one closed), the same
+    s = x - knot, and the same sum c3 + c2 s + c1 s^2 + c0 s^3 with
+    s^3 = s^2 s.  Only the interval search is replaced: the knots are
+    uniform, so (x - x_min) / step + 1/2 truncates to one of two neighbouring
+    intervals, and one comparison with the knot between them decides.  The
+    imaginary part is skipped when the spline is real.
+
+    Coefficients that overflow (a state so narrow that the grid step is near the
+    floating-point range, e.g. a probe variance of 1e-300) raise
+    InvalidParameterError naming the step.
 
     The evaluator is cached on the wavefunction (safe: amplitudes are
     immutable), so repeated conditioning against the same state is cheap.
@@ -387,8 +393,14 @@ def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:
     if cached is not None:
         return cached
     knots, amps = wf.grid.points, wf.amplitudes
-    s, slope = _spline_slopes(knots, amps)
-    coef = np.stack(_hermite_coefficients(np.diff(knots), amps[:-1], s[:-1], s[1:], slope))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        s, slope = _spline_slopes(knots, amps)
+        coef = np.stack(_hermite_coefficients(np.diff(knots), amps[:-1], s[:-1], s[1:], slope))
+    if not np.isfinite(coef.view(np.float64)).all():  # float view: half the cost of complex
+        raise InvalidParameterError(
+            f"spline coefficients overflow at grid step {wf.grid.step:.3g}: the state is "
+            "too narrow for floating point; use a wider state or a coarser grid"
+        )
     lo, hi, n = wf.grid.x_min, wf.grid.x_max, wf.grid.n_points
     inv_step = 1.0 / wf.grid.step
     # Tables indexed by k = interval + 1.  k = 0 (below x_min, NaN) and k = n

@@ -1,7 +1,11 @@
 """Fidelity measures: closed forms, numeric quadratures, and the output ensemble."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 import qndsim as q
 import qndsim.chain
 import qndsim.fidelity
+from qndsim import _lapack
 from qndsim.chain import NULL_OUTCOME_DENSITY
 from qndsim.errors import InvalidParameterError, ResourceLimitError
 from qndsim.fidelity import fidelity_pair
@@ -250,6 +255,48 @@ def test_ensemble_anti_squeezed_approaches_pure_input():
     rho = q.output_ensemble(signal, probe, QUARTER_PI)
     pure = signal.amplitudes[:, None] * np.conj(signal.amplitudes)[None, :]
     assert np.abs(rho.matrix - pure).max() < 1e-2
+
+
+# Runs in its own process: the thread count must be set before numpy loads OpenBLAS.  At
+# two threads the two libraries split the product differently (2.3e-13 apart at (513, 300)).
+BOTH_BLAS_PATHS = """
+import numpy as np
+import qndsim as q
+from qndsim import _lapack
+
+def products():
+    rng = np.random.default_rng(3)
+    out = []
+    for shape in [(77, 1023), (513, 300), (1024, 2048), (1, 64)]:
+        out.append(_lapack.gram(rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+    cat = q.build_cat(1.8, 0.2025, q.auto_grid([q.CatSpec(1.8, 0.2025)], n_points=1024))
+    probe_spec = q.GaussianSpec(0.0, 0.25)
+    probe = q.build_gaussian(probe_spec, q.auto_grid([probe_spec], n_points=1024))
+    out.append(q.output_ensemble(cat, probe, 0.7).matrix)
+    return out
+
+bundled = products()
+_lapack._ZGEMM = None  # what a numpy without numpy.libs resolves
+for a, b in zip(bundled, products()):
+    assert a.flags.f_contiguous and b.flags.f_contiguous
+    assert np.array_equal(a.real, b.real) and np.array_equal(a.imag, b.imag), np.abs(a - b).max()
+"""
+
+
+@pytest.mark.skipif(
+    _lapack._ZGEMM is None,
+    reason="numpy bundles no OpenBLAS here: scipy's zgemm is the one path",
+)
+def test_ensemble_is_bitwise_equal_on_the_bundled_and_scipy_zgemm():
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": str(Path(q.__file__).parents[1]),
+    }
+    run = subprocess.run(
+        [sys.executable, "-c", BOTH_BLAS_PATHS], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_ensemble_resource_cap():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import qndsim as q
+from qndsim import _lapack
 from qndsim.errors import GridMismatchError, GridTooNarrowError, InvalidParameterError
 from qndsim.grids import format_state_spec
 
@@ -240,6 +241,25 @@ def test_spline_fit_matches_cubic_spline_coefficients_bitwise(n, kind):
         y = y * np.exp(1j * 1.3 * x) if kind == "chirped" else y.astype(np.complex128)
     expected = CubicSpline(x, y).c
     assert np.array_equal(bits(fitted_coefficients(x, y)), bits(expected))
+
+
+@pytest.mark.skipif(
+    _lapack._ZGTSV is None, reason="numpy bundles no OpenBLAS here: scipy's zgtsv is the one path"
+)
+@pytest.mark.parametrize("n", [64, 257, 2048, 8192])
+@pytest.mark.parametrize("nrhs", [1, 3, 85])
+def test_spline_fit_is_bitwise_equal_on_the_bundled_and_scipy_zgtsv(monkeypatch, n, nrhs):
+    rng = np.random.default_rng(n + nrhs)
+    x = q.Grid(-7.3, 6.1, n).points
+    block = rng.normal(size=(nrhs, n)) + 1j * rng.normal(size=(nrhs, n))  # C-ordered rows
+    # 1-D; the transposed row block conditioned_on_mode2 passes; C-ordered columns
+    curves = [block[0], block.T, np.ascontiguousarray(block.T)]
+    bundled = [q.grids._spline_slopes(x, y) for y in curves]
+    monkeypatch.setattr(_lapack, "_ZGTSV", None)  # what a numpy without numpy.libs resolves
+    for y, (s, _) in zip(curves, bundled):
+        s_scipy, _ = q.grids._spline_slopes(x, y)
+        assert s.shape == s_scipy.shape == y.shape
+        assert np.array_equal(bits(s), bits(s_scipy))
 
 
 def test_multi_column_fit_matches_cubic_spline_along_axis_1_bitwise():
