@@ -31,7 +31,6 @@ from .errors import (
     NoSignChangeError,
     NullOutcomeError,
     QndSimError,
-    ResourceLimitError,
 )
 from .fidelity import (
     DensityMatrixGrid,
@@ -93,7 +92,6 @@ __all__ = [
     "NullOutcomeError",
     "Outcome",
     "QndSimError",
-    "ResourceLimitError",
     "TradeOffReport",
     "VACUUM_VARIANCE",
     "WaveFunction",

@@ -1,10 +1,10 @@
-"""LAPACK zgtsv and BLAS zgemm from the OpenBLAS that numpy's wheel bundles.
+"""LAPACK zgtsv from the OpenBLAS that numpy's wheel bundles.
 
 numpy >= 2's Linux wheels ship OpenBLAS in `numpy.libs/` (64-bit integers, symbols
 `scipy_<name>_64_`) and map it on `import numpy`; calling it through ctypes
 costs no further import.  Builds without it (numpy 1.x, macOS, Windows, conda,
-distributions) use scipy.linalg's wrappers of the same two routines, imported at
-the first call; that is why scipy stays a runtime dependency.
+distributions) use scipy.linalg's wrapper of the same routine, imported at the
+first call; that is why scipy stays a runtime dependency.
 """
 
 from __future__ import annotations
@@ -16,26 +16,21 @@ import os
 import numpy as np
 
 
-def _bundled() -> tuple:
-    """(zgtsv, zgemm) of the bundled OpenBLAS, or (None, None) when it is not there."""
+def _bundled():
+    """zgtsv of the bundled OpenBLAS, or None when it is not there."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
         lib = ctypes.CDLL(path)  # already mapped by numpy: the same handle
         try:
-            zgtsv, zgemm = lib.scipy_zgtsv_64_, lib.scipy_zgemm_64_
+            zgtsv = lib.scipy_zgtsv_64_
         except AttributeError:
             continue
         zgtsv.argtypes, zgtsv.restype = [ctypes.c_void_p] * 8, None
-        # gfortran passes the lengths of the two 1-character strings last, by value
-        zgemm.argtypes = [ctypes.c_void_p] * 13 + [ctypes.c_size_t] * 2
-        zgemm.restype = None
-        return zgtsv, zgemm
-    return None, None
+        return zgtsv
+    return None
 
 
-_ZGTSV, _ZGEMM = _bundled()
-_GEMM_TRANS = np.array([b"N", b"C"])  # TRANSA, TRANSB
-_GEMM_SCALARS = np.array([1.0, 0.0], dtype=np.complex128)  # ALPHA, BETA
+_ZGTSV = _bundled()
 
 
 def zgtsv(lower, diag, upper, rhs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -58,22 +53,3 @@ def zgtsv(lower, diag, upper, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     dl, i = band.ctypes.data, ints.ctypes.data
     _ZGTSV(i, i + 8, dl, dl + 16 * (n - 1), dl + 16 * (2 * n - 1), b.ctypes.data, i, i + 16)
     return b, int(ints[2])
-
-
-def gram(rows: np.ndarray) -> np.ndarray:
-    """rows^T conj(rows) of a C-ordered complex128 (M, N) array, as a Fortran-ordered
-    (N, N) array: one zgemm with op(A) = rows^T, op(B) = rows^H and no conjugate copy."""
-    if _ZGEMM is None:
-        from scipy.linalg.blas import zgemm as scipy_zgemm
-
-        return scipy_zgemm(1.0, rows.T, rows.T, trans_b=2)
-    if rows.dtype != np.complex128 or not rows.flags.c_contiguous or rows.ndim != 2:
-        raise ValueError("gram needs a C-ordered complex128 matrix")
-    m, n = rows.shape
-    out = np.empty((n, n), dtype=np.complex128, order="F")
-    ints = np.array([n, m], dtype=np.int64)  # N (also M and every leading dimension), K
-    dim, k = ints.ctypes.data, ints.ctypes.data + 8
-    trans, alpha, a = _GEMM_TRANS.ctypes.data, _GEMM_SCALARS.ctypes.data, rows.ctypes.data
-    c = out.ctypes.data
-    _ZGEMM(trans, trans + 1, dim, dim, k, alpha, a, dim, a, dim, alpha + 16, c, dim, 1, 1)
-    return out

@@ -1,7 +1,7 @@
 """Exception types raised by the simulator.
 
 Everything derives from QndSimError so callers (notably the CLI) can tell
-domain errors apart from programming errors and usage mistakes.
+domain errors apart from bugs and usage mistakes.
 """
 
 
@@ -40,6 +40,3 @@ class NoSignChangeError(QndSimError):
 class NonFiniteObjectiveError(QndSimError):
     """An objective returned NaN or infinity during optimization."""
 
-
-class ResourceLimitError(QndSimError):
-    """The requested computation exceeds a hard resource cap (e.g. kernel size)."""

@@ -19,7 +19,8 @@ the quadrature weights and m = |psi_s|^2 w the signal mass:
   state fidelity    p(x0) |<psi_s|psi_x0>|^2 = t |A(x0)|^2,   A = sum_y K m,
                     so F = int t |A|^2 dx0 / Z
   distribution fid. G = ( int sqrt(p(x0) / Z) |psi_s(x0)| dx0 )^2 on the same outcomes
-  output ensemble   rho(x, x') = psi_s(x) psi_s*(x') (t / Z) int K(x0, x) K*(x0, x') dx0
+  output ensemble   rho(x, x') = psi_s(x) psi_s*(x') (t / Z) int K(x0, x) K*(x0, x') dx0,
+                    held as its factor: the rows sqrt(t w / Z) psi_s(x) K(x0, x)
 
 One outcome pass (`chain._outcome_pass`) gives the lattice-aligned outcome grid, p and A
 as FFT correlations with m, and K as a view of one vector; `_outcome_figures` reads F, G
@@ -35,13 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import gram
 from .chain import NULL_OUTCOME_DENSITY, _outcome_pass, check_phase
-from .errors import GridMismatchError, InvalidParameterError, ResourceLimitError
+from .errors import GridMismatchError, InvalidParameterError
 from .grids import Distribution, Grid, WaveFunction, amplitude_interpolator
 
 OUTCOME_NODES = 1024
-ENSEMBLE_POINT_CAP = 4096
 OUTCOME_MASS_SLACK = 2e-2  # tolerated |trapezoid of |psi_s|^2 on the outcome grid - 1|
 UNIT_SLACK = 1e-9  # raw F and G may leave [0, 1] by this much before they are clamped
 
@@ -191,34 +190,35 @@ def state_fidelity_via_transfer(signal: WaveFunction, phi: float, sigma_p: float
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrixGrid:
-    """Discretized kernel rho(x, x') of the outcome-averaged output ensemble."""
+    """The outcome-averaged output ensemble rho(x, x') on a grid, held as its row factor:
+    rho = rows^T conj(rows), one row per non-null outcome.  Hermitian by construction."""
 
     grid: Grid
-    matrix: np.ndarray
+    rows: np.ndarray
 
     def trace(self) -> float:
-        return float(self.grid.weights @ np.real(np.diagonal(self.matrix)))
-
-    def hermiticity_defect(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
+        return float(np.sum(np.abs(self.rows) ** 2, axis=0) @ self.grid.weights)
 
     def expectation(self, wf: WaveFunction) -> float:
-        """<psi| rho |psi> by double trapezoidal quadrature."""
+        """<psi| rho |psi> by double trapezoidal quadrature: sum_j |rows_j . conj(w psi)|^2."""
         if wf.grid != self.grid:
             raise GridMismatchError("expectation needs the state on the kernel's grid")
-        v = self.grid.weights * wf.amplitudes
-        return float(np.real(np.conj(v) @ self.matrix @ v))
+        overlaps = self.rows @ np.conj(self.grid.weights * wf.amplitudes)
+        return float(np.sum(np.abs(overlaps) ** 2))
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of W^(1/2) rho W^(1/2) (W = quadrature weights).
 
         This symmetrized form is the discretization of the kernel as an
-        operator on L2 of the grid, so its spectrum is real.
+        operator on L2 of the grid, so its spectrum is real.  It is B^T conj(B) for
+        B = rows W^(1/2); with fewer rows M' than points N its nonzero eigenvalues are
+        those of the smaller B B^H, and the N - M' others are exact zeros.
         """
-        root = np.sqrt(self.grid.weights)
-        sym = root[:, None] * self.matrix * root[None, :]
-        sym = 0.5 * (sym + sym.conj().T)
-        return float(np.linalg.eigvalsh(sym)[0])
+        b = self.rows * np.sqrt(self.grid.weights)
+        m, n = b.shape
+        if m < n:
+            return min(float(np.linalg.eigvalsh(b @ b.conj().T)[0]), 0.0)
+        return float(np.linalg.eigvalsh(b.T @ b.conj())[0])
 
 
 def output_ensemble(
@@ -229,20 +229,13 @@ def output_ensemble(
 ) -> DensityMatrixGrid:
     """Outcome-averaged output state rho(x, x') = int p(x0) psi_x0(x) psi_x0*(x') dx0.
 
-    rho = rows^T conj(rows) for the non-null rows of K, sqrt(t w / Z) psi_s(x) K(x0, x): one
-    zgemm from numpy's bundled OpenBLAS (`_lapack.gram`), with no conjugate copy of the rows.
-    Raises InvalidParameterError on grids that cannot resolve the probe filter, as F does.
+    Held as its factor: the non-null rows of K, sqrt(t w / Z) psi_s(x) K(x0, x), whose
+    product rows^T conj(rows) is rho; no N x N matrix is formed.  Raises
+    InvalidParameterError on grids that cannot resolve the probe filter, as F does.
     """
-    check_phase(phi)
-    n = signal.grid.n_points
-    if n > ENSEMBLE_POINT_CAP:
-        raise ResourceLimitError(
-            f"ensemble kernel needs n_points <= {ENSEMBLE_POINT_CAP}, got {n} "
-            "(memory grows quadratically)"
-        )
     figures = _outcome_figures(signal, probe, phi, n_outcomes)
     live = figures.weight > 0.0
     rows = figures.kernel[live]  # the one copy of K: its non-null rows
     rows *= signal.amplitudes
     rows *= np.sqrt(figures.weight[live])[:, None]  # row x0: sqrt(t w / Z) psi_s(x) K(x0, x)
-    return DensityMatrixGrid(signal.grid, gram(rows))
+    return DensityMatrixGrid(signal.grid, rows)
