@@ -53,7 +53,7 @@ def main() -> None:
         cat_spec = q.CatSpec(2.0, 0.25)
         cat = q.build_cat(2.0, 0.25, q.auto_grid([cat_spec]))
         ratios = np.logspace(-1, 1, 15)
-        pairs = q.numeric_trade_off_curve(cat, ratios, phi, n_outcomes=512, grid_points=1024)
+        pairs = q.numeric_trade_off_curve(cat, ratios, phi)
         cat_rows = np.array([(r, p.F, p.G, p.f_plus_g) for r, p in zip(ratios, pairs)])
         np.savetxt(out / "cat_curve.csv", cat_rows, delimiter=",",
                    header="x,F,G,F_plus_G", comments="")

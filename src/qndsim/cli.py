@@ -240,7 +240,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[int, Files, dict]:
         pairs = [trade_off(float(x)) for x in xs]
     else:
         signal = _load_signal(args.signal, GridPolicy(n_points=args.grid_n))
-        pairs = numeric_trade_off_curve(signal, xs, args.phi, args.outcome_nodes, args.grid_n)
+        pairs = numeric_trade_off_curve(signal, xs, args.phi)
 
     f_col = np.array([p.F for p in pairs])
     g_col = np.array([p.G for p in pairs])
@@ -258,7 +258,7 @@ def cmd_optimize(args: argparse.Namespace) -> tuple[int, Files, dict]:
     if args.mode == "closed":
         report = gaussian_trade_off_report(**search)
     else:
-        report = numeric_trade_off_report(signal, args.phi, grid_points=args.grid_n, **search)
+        report = numeric_trade_off_report(signal, args.phi, **search)
     payload = dataclasses.asdict(report)
     payload["mode"] = args.mode
     if args.sigma_probe is not None:
@@ -321,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--phi", type=float, default=DEFAULT_PHI)
     sweep.add_argument("--grid-n", type=_positive_int, default=DEFAULT_GRID_POINTS)
     sweep.add_argument("--outcome-nodes", type=_positive_int, default=OUTCOME_NODES,
-                       help="N sets the outcome step, the multiple of the signal grid "
-                       "step nearest span/(N-1); the node count follows from the span")
+                       help="accepted and recorded in the manifest, but not read: the "
+                       "numeric sweep filters the signal on its own grid, with no outcome grid")
     sweep.add_argument("--out", required=True, metavar="DIR")
     sweep.set_defaults(func=cmd_sweep)
 

@@ -27,6 +27,19 @@ as FFT correlations with m, and K as a view of one vector; `_outcome_figures` re
 and rho's weights off it.  Outcomes with normalized density at most NULL_OUTCOME_DENSITY
 are left out of F and rho.  F, G and rho raise InvalidParameterError rather than return
 values the grids cannot resolve, or raw F, G off [0, 1] by UNIT_SLACK.
+
+For a Gaussian probe the chain acts on m as one Gaussian filter of width sigma_f =
+sigma_p / tan phi, so the filter route (`_GaussianFilter`, behind the trade-off curve and
+the transfer route) needs no probe and no outcome grid.  On the signal grid (step h, N
+points), with c(d) = sum_i m_i m_(i+d) and p and c by FFT on 2N points (nothing wraps):
+
+  state fidelity    F = sum_d c(d) exp(-(d h)^2 / (8 sigma_f^2))
+  outcome density   p_i = sum_j m_j N(y_i - y_j; sigma_f^2)
+  its total         Z = sum m (1 + 2 sum_(j>=1) exp(-2 pi^2 sigma_f^2 j^2 / h^2))
+  distribution fid. G = ( sum_i w_i sqrt(p_i / Z) |psi_s(y_i)| )^2
+
+Z is p's trapezoid sum over the whole lattice, by Poisson summation: p's tails may leave
+the grid.
 """
 
 from __future__ import annotations
@@ -64,6 +77,15 @@ def _checked_unit(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def _check_filter_width(width: float, step: float) -> None:
+    """Refuse a probe filter (width sigma_p / tan phi) narrower than the signal grid step."""
+    if width < step:
+        raise InvalidParameterError(
+            f"probe filter width {width:.3g} is below the signal grid step {step:.3g}: "
+            "F and G are not resolved; use a finer signal grid"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class _OutcomeFigures:
     """Raw F and G, the outcome weight t w / Z (0 where p is null) and the view K."""
@@ -82,12 +104,7 @@ def _outcome_figures(
     trapezoid of |psi_s|^2 is 1 within OUTCOME_MASS_SLACK."""
     check_phase(phi)
     t = math.tan(phi)
-    filter_width = math.sqrt(probe.variance()) / t
-    if filter_width < signal.grid.step:
-        raise InvalidParameterError(
-            f"probe filter width {filter_width:.3g} is below the signal grid step "
-            f"{signal.grid.step:.3g}: F and G are not resolved; use a finer signal grid"
-        )
+    _check_filter_width(math.sqrt(probe.variance()) / t, signal.grid.step)
     ogrid, p_raw, amp, kernel = _outcome_pass(signal, probe, phi, n_outcomes)
     s_abs = np.abs(amplitude_interpolator(signal)(ogrid.points))
     mass = float(ogrid.weights @ s_abs**2)
@@ -179,13 +196,48 @@ def state_fidelity_via_transfer(signal: WaveFunction, phi: float, sigma_p: float
 
     F = int int |psi_s(y')|^2 |psi_s(y'')|^2 T(y', y'') dy' dy'', valid for a
     Gaussian probe of wavefunction-density width sigma_p; the signal can be
-    anything.  Cross-checks the outcome-integral route.
+    anything.  T depends on y' - y'' alone, so the quadrature is summed over lags against
+    the autocorrelation of the signal mass: T is evaluated on the N lags, not on an
+    N x N grid.  Cross-checks the outcome-integral route.
     """
     check_phase(phi)
-    y = signal.grid.points
-    mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
-    kernel = transfer_function(y[:, None], y[None, :], phi, sigma_p)
-    return _checked_unit(float(mass @ kernel @ mass))
+    route = _GaussianFilter(signal)
+    return _checked_unit(route.state_fidelity(transfer_function(route.lags, 0.0, phi, sigma_p)))
+
+
+class _GaussianFilter:
+    """The filter route: a signal's mass m = |psi_s|^2 w transformed once (its rfft on 2N
+    points and its autocorrelation c), then read per filter width sigma_f by `pair`."""
+
+    def __init__(self, signal: WaveFunction):
+        grid, n = signal.grid, signal.grid.n_points
+        s_abs = np.abs(signal.amplitudes)
+        mass = s_abs**2 * grid.weights
+        self.step, self.lags = grid.step, np.arange(n) * grid.step  # d h, d = 0 .. N - 1
+        self.mass_total, self.weighted_abs = float(mass.sum()), grid.weights * s_abs
+        self.mass_hat = np.fft.rfft(mass, 2 * n)
+        self.autocorrelation = np.fft.irfft(np.abs(self.mass_hat) ** 2, 2 * n)[:n]
+
+    def state_fidelity(self, transfer: np.ndarray) -> float:
+        """Raw F = sum_d c(d) T(d h) over the lags -(N - 1) .. N - 1, T given for d >= 0."""
+        c = self.autocorrelation
+        return float(2.0 * (c @ transfer) - c[0] * transfer[0])
+
+    def pair(self, width: float) -> FidelityPair:
+        """F and G through a Gaussian filter of width sigma_f, refused below one grid step."""
+        _check_filter_width(width, self.step)
+        scaled_sq = np.square(self.lags / width)
+        kernel = np.exp(-0.5 * scaled_sq) / (width * math.sqrt(2.0 * math.pi))
+        lagged = np.concatenate((kernel, [0.0], kernel[:0:-1]))  # lags 0 .. N - 1, 1 - N .. -1
+        p = np.fft.irfft(self.mass_hat * np.fft.rfft(lagged), lagged.size)[: kernel.size]
+        # Z: for s = sigma_f / h >= 1 the Poisson terms j >= 2 (below 1e-34) leave
+        # 1 + 2 exp(-2 pi^2 s^2) unchanged; s s past the float range is inf, whose exp is 0
+        s = width / self.step
+        z = self.mass_total * (1.0 + 2.0 * math.exp(-2.0 * math.pi**2 * s * s))
+        p = np.maximum(p, 0.0)  # FFT roundoff can dip p's far tails below 0
+        coeff = float(self.weighted_abs @ np.sqrt(p / z))
+        f_raw = self.state_fidelity(np.exp(-0.125 * scaled_sq))
+        return FidelityPair(F=_checked_unit(f_raw), G=_checked_unit(coeff * coeff))
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,14 +25,13 @@ from .errors import (
     QndSimError,
 )
 from .fidelity import (
-    OUTCOME_NODES,
     FidelityPair,
     _check_ratio,
-    fidelity_pair,
+    _GaussianFilter,
     gaussian_distribution_fidelity,
     gaussian_state_fidelity,
 )
-from .grids import DEFAULT_GRID_POINTS, GaussianSpec, WaveFunction, auto_grid, build_gaussian
+from .grids import WaveFunction
 
 GOLDEN_SECTION = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_BRACKET = (0.05, 20.0)
@@ -163,31 +162,29 @@ def tune_phase(sigma_s: float, sigma_p: float, x_target: float) -> float:
 
 
 def numeric_trade_off_curve(
-    signal: WaveFunction,
-    xs: Sequence[float],
-    phi: float,
-    n_outcomes: int = OUTCOME_NODES,
-    grid_points: int = DEFAULT_GRID_POINTS,
+    signal: WaveFunction, xs: Sequence[float], phi: float
 ) -> list[FidelityPair]:
     """Numeric (F, G) for one signal across a list of filter ratios x.
 
-    Ratio x takes the Gaussian probe of variance (x sigma_s tan phi)^2, with sigma_s the
-    signal's numeric standard deviation, so non-Gaussian signals work.  Points evaluate in
-    input order; a failure at point i re-raises the underlying error with the index and x
-    attached.
+    Ratio x stands for the Gaussian probe of variance (x sigma_s tan phi)^2, with sigma_s
+    the signal's numeric standard deviation, so non-Gaussian signals work.  That probe acts
+    on the signal as one Gaussian filter of width x sigma_s, so no probe and no outcome
+    grid is built: the filter route transforms the signal once and filters it per x.
+    Points evaluate in input order; a failure at point i re-raises the underlying error
+    with the index and x attached.
     """
     check_phase(phi)
-    sigma_s, t = math.sqrt(signal.variance()), math.tan(phi)
-    pairs: list[FidelityPair] = []
-    for i, x in enumerate(xs):
-        try:
-            _check_ratio(x)
-            spec = GaussianSpec(mean=0.0, variance=(float(x) * sigma_s * t) ** 2)
-            probe = build_gaussian(spec, auto_grid([spec], n_points=grid_points))
-            pairs.append(fidelity_pair(signal, probe, phi, n_outcomes=n_outcomes))
-        except QndSimError as err:
-            raise type(err)(f"trade-off point {i} (filter ratio {x}): {err}") from err
-    return pairs
+    route, sigma_s = _GaussianFilter(signal), math.sqrt(signal.variance())
+    return [_ratio_pair(route, sigma_s, i, x) for i, x in enumerate(xs)]
+
+
+def _ratio_pair(route: _GaussianFilter, sigma_s: float, i: int, x: float) -> FidelityPair:
+    """(F, G) of `route` at filter ratio x (width x sigma_s); a failure names point i."""
+    try:
+        _check_ratio(x)
+        return route.pair(float(x) * sigma_s)
+    except QndSimError as err:
+        raise type(err)(f"trade-off point {i} (filter ratio {x}): {err}") from err
 
 
 def _trade_off_report(
@@ -230,12 +227,10 @@ def numeric_trade_off_report(
     lo: float = 0.2,
     hi: float = 5.0,
     tol: float = 1e-3,
-    grid_points: int = 1024,
 ) -> TradeOffReport:
-    """Trade-off report driven by the numeric fidelities: `numeric_trade_off_curve` at each
-    x the search asks for, on max(256, grid_points // 2) outcome nodes."""
-    n_outcomes = max(256, grid_points // 2)
-    return _trade_off_report(
-        lambda x: numeric_trade_off_curve(signal, [x], phi, n_outcomes, grid_points)[0],
-        lo, hi, tol,
-    )
+    """Trade-off report driven by the numeric fidelities of `numeric_trade_off_curve`, one
+    point per x the search asks for; the signal is transformed once, and no probe or
+    outcome grid is built."""
+    check_phase(phi)
+    route, sigma_s = _GaussianFilter(signal), math.sqrt(signal.variance())
+    return _trade_off_report(lambda x: _ratio_pair(route, sigma_s, 0, x), lo, hi, tol)

@@ -184,13 +184,27 @@ def test_chain_too_narrow_probe_exits_3_naming_the_grid_step(tmp_path, capsys):
     assert not (tmp_path / "narrow").exists()
 
 
-def test_sweep_huge_filter_ratio_exits_3_naming_the_probe_width(tmp_path, capsys):
+def test_sweep_huge_filter_ratio_matches_closed_forms(tmp_path):
+    # a pair's cost does not depend on x, and Z's Poisson sum neither overflows nor warns
+    out = tmp_path / "huge"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sweep", "--mode", "numeric", "--steps", "2", "--x-min", "1",
+                     "--x-max", "1e150", "--out", str(out)])
+    assert code == 0
+    _, rows = read_csv(out / "sweep.csv")
+    for x, f_val, g_val, _ in rows:
+        assert abs(f_val - q.gaussian_state_fidelity(x)) < 1e-12
+        assert abs(g_val - q.gaussian_distribution_fidelity(x)) < 1e-12
+
+
+def test_chain_huge_probe_variance_exits_3_naming_the_probe_width(tmp_path, capsys):
     # the kernel length is refused as a Python int, before numpy allocates anything
-    code = main(["sweep", "--mode", "numeric", "--steps", "2", "--x-min", "1",
-                 "--x-max", "1e150", "--out", str(tmp_path / "huge")])
+    code = main(["chain", "--phi", "0.7", "--probe-var", "1e200", "--outcome", "0",
+                 "--out", str(tmp_path / "huge")])
     assert code == 3
     err = capsys.readouterr().err
-    assert "error: trade-off point 1 (filter ratio 1e+150): probe filter width 5e+149 " in err
+    assert "error: probe filter width 1.19e+100 needs a kernel of about 2**" in err
     assert "more than numpy can index" in err
     assert not (tmp_path / "huge").exists()
 

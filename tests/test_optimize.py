@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import qndsim as q
+import qndsim.fidelity
 import qndsim.optimize
 from qndsim.errors import (
     BracketError,
@@ -176,7 +177,7 @@ def test_gaussian_trade_off_report():
 def test_numeric_curve_matches_closed_forms():
     signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=1024))
     xs = [0.5, 1.0, 2.0]
-    pairs = q.numeric_trade_off_curve(signal, xs, QUARTER_PI, n_outcomes=512, grid_points=1024)
+    pairs = q.numeric_trade_off_curve(signal, xs, QUARTER_PI)
     for x, pair in zip(xs, pairs):
         assert abs(pair.F - q.gaussian_state_fidelity(x)) < 1e-3
         assert abs(pair.G - q.gaussian_distribution_fidelity(x)) < 1e-3
@@ -185,7 +186,7 @@ def test_numeric_curve_matches_closed_forms():
 def test_numeric_curve_attributes_failures_to_points():
     signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=512))
     with pytest.raises(InvalidParameterError, match="point 1"):
-        q.numeric_trade_off_curve(signal, [0.25, -1.0], QUARTER_PI, n_outcomes=256)
+        q.numeric_trade_off_curve(signal, [0.25, -1.0], QUARTER_PI)
 
 
 def test_numeric_curve_maps_each_ratio_to_its_gaussian_probe():
@@ -194,48 +195,49 @@ def test_numeric_curve_maps_each_ratio_to_its_gaussian_probe():
     signal = q.build_cat(1.8, 0.2025, q.auto_grid([cat_spec], n_points=512))
     sigma_s = math.sqrt(signal.variance())
     xs = [0.5, 1.2]
-    pairs = q.numeric_trade_off_curve(signal, xs, phi, n_outcomes=256, grid_points=512)
+    pairs = q.numeric_trade_off_curve(signal, xs, phi)
     for x, pair in zip(xs, pairs):
         spec = q.GaussianSpec(0.0, (x * sigma_s * math.tan(phi)) ** 2)
         probe = q.build_gaussian(spec, q.auto_grid([spec], n_points=512))
-        assert pair == fidelity_pair(signal, probe, phi, n_outcomes=256)
+        kernel_route = fidelity_pair(signal, probe, phi, n_outcomes=256)
+        # the filter route against the kernel route on the x probe: 5.3e-10 in F, 1.2e-9 in G
+        assert abs(pair.F - kernel_route.F) < 1e-8
+        assert abs(pair.G - kernel_route.G) < 1e-8
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+# 0.01: filter width 0.005, below the signal grid step 0.039
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), 0.01])
 def test_numeric_curve_refuses_ratios_naming_the_point(bad):
     signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=256))
     with pytest.raises(InvalidParameterError, match=r"point 1 \(filter ratio"):
-        q.numeric_trade_off_curve(signal, [1.0, bad], QUARTER_PI, n_outcomes=128,
-                                  grid_points=256)
+        q.numeric_trade_off_curve(signal, [1.0, bad], QUARTER_PI)
 
 
 def test_numeric_curve_preserves_order():
     signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=512))
     xs = [2.0, 0.5]  # deliberately out of sorted order
-    pairs = q.numeric_trade_off_curve(signal, xs, QUARTER_PI, n_outcomes=256, grid_points=512)
+    pairs = q.numeric_trade_off_curve(signal, xs, QUARTER_PI)
     assert pairs[0].F > pairs[1].F  # wider filter keeps the state closer
 
 
 @pytest.mark.slow
 def test_numeric_optimum_matches_closed_form():
     signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=1024))
-    report = q.numeric_trade_off_report(
-        signal, QUARTER_PI, lo=0.6, hi=2.5, tol=2e-3, grid_points=1024
-    )
+    report = q.numeric_trade_off_report(signal, QUARTER_PI, lo=0.6, hi=2.5, tol=2e-3)
     assert abs(report.x_m - X_M_REFINED) < 0.02
     assert abs(report.x_e - X_E_REFINED) < 0.05
 
 
 def test_numeric_report_computes_each_pair_once(monkeypatch):
-    probes = []
-    fidelity_pair = qndsim.optimize.fidelity_pair
+    widths = []
+    pair = qndsim.fidelity._GaussianFilter.pair
 
-    def counting(signal, probe, phi, n_outcomes):
-        probes.append(probe.amplitudes.tobytes())
-        return fidelity_pair(signal, probe, phi, n_outcomes=n_outcomes)
+    def counting(route, width):
+        widths.append(width)
+        return pair(route, width)
 
-    monkeypatch.setattr(qndsim.optimize, "fidelity_pair", counting)
+    monkeypatch.setattr(qndsim.fidelity._GaussianFilter, "pair", counting)
     signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=256))
-    report = q.numeric_trade_off_report(signal, QUARTER_PI, tol=1e-2, grid_points=256)
-    assert len(probes) == report.evaluations
-    assert len(set(probes)) == len(probes)
+    report = q.numeric_trade_off_report(signal, QUARTER_PI, tol=1e-2)
+    assert len(widths) == report.evaluations
+    assert len(set(widths)) == len(widths)
