@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegeneratePhaseError,
@@ -202,27 +201,27 @@ def outcome_grid(
     return Grid(y0 + first * h, y0 + last * h, (last - first) // k + 1)
 
 
-def _row_sums(values: np.ndarray, mass_hat: np.ndarray, n: int, rows: int) -> np.ndarray:
-    """Row j < rows: sum_i values[i + k (rows - 1 - j)] mass[i], k = (len(values) - n)
-    / (rows - 1), by one FFT correlation; with values = kappa, K @ mass without forming K.
+def _row_sums(values: np.ndarray, mass_hat: np.ndarray, k: int, rows: int) -> np.ndarray:
+    """Row j < rows: sum_i values[i + k (rows - 1 - j)] mass[i], by one FFT correlation;
+    with values = kappa, K @ mass without forming K.
 
-    mass_hat = conj(fft(mass, size)) for the n-point mass, size a power of two
-    >= len(values) (no wrap-around); the caller transforms the mass once for all its sums.
+    mass_hat = conj(fft(conj(mass), size)), for a real mass conj(fft(mass, size)), with size
+    a power of two >= len(values) (no wrap-around); the caller transforms the mass once for
+    all its sums.
     """
-    k = (values.size - n) // (rows - 1)
     return np.fft.ifft(np.fft.fft(values, mass_hat.size) * mass_hat)[k * (rows - 1) :: -k]
 
 
 def _outcome_pass(
     signal: WaveFunction, probe: WaveFunction, phi: float, n_outcomes: int | None
-) -> tuple[Grid, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[Grid, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """The one kernel pass behind p, F, G and rho, on `outcome_grid(n_points=n_outcomes)`.
 
     kappa[e] = psi_p(tan(phi) h (e - o - k (M - 1))) on the signal lattice (step h), so
     K(x0_j, y_i) = psi_p(tan(phi) (y_i - x0_j)) = kappa[i + k (M - 1 - j)].  Returns the
     grid, p_raw = t sum_y |K|^2 m and A = sum_y K m (m = |psi_s|^2 w, both by FFT
-    correlation against one transform of m) and K as a read-only (M, N) strided view of
-    kappa.
+    correlation against one transform of m), kappa, the outcome stride k and the FFT size
+    that `_row_sums` correlates kappa at.
     """
     ogrid = outcome_grid(signal, probe, phi, n_points=n_outcomes)
     y0, h, n, m = signal.grid.x_min, signal.grid.step, signal.grid.n_points, ogrid.n_points
@@ -240,8 +239,8 @@ def _outcome_pass(
     kappa = amplitude_interpolator(probe)((np.arange(size) - last) * (t * h))
     mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
     mass_hat = np.conj(np.fft.fft(mass, fft_size))
-    p_raw = t * _row_sums(np.abs(kappa) ** 2, mass_hat, n, m).real
-    return ogrid, p_raw, _row_sums(kappa, mass_hat, n, m), sliding_window_view(kappa, n)[::-k]
+    p_raw = t * _row_sums(np.abs(kappa) ** 2, mass_hat, k, m).real
+    return ogrid, p_raw, _row_sums(kappa, mass_hat, k, m), kappa, k, fft_size
 
 
 def homodyne_distribution(
@@ -256,7 +255,7 @@ def homodyne_distribution(
     `outcome_grid(n_points=n_outcomes)` (default: the signal's node count), from the
     one outcome pass (no joint state).
     """
-    ogrid, p_raw, _, _ = _outcome_pass(signal, probe, phi, n_outcomes)
+    ogrid, p_raw, *_ = _outcome_pass(signal, probe, phi, n_outcomes)
     return Distribution.normalized(ogrid, p_raw)
 
 

@@ -20,13 +20,17 @@ the quadrature weights and m = |psi_s|^2 w the signal mass:
                     so F = int t |A|^2 dx0 / Z
   distribution fid. G = ( int sqrt(p(x0) / Z) |psi_s(x0)| dx0 )^2 on the same outcomes
   output ensemble   rho(x, x') = psi_s(x) psi_s*(x') (t / Z) int K(x0, x) K*(x0, x') dx0,
-                    held as its factor: the rows sqrt(t w / Z) psi_s(x) K(x0, x)
+                    held as its generator: psi_s, K and the weights t w / Z, so
+                    <psi|rho|psi> = sum_x0 (t w / Z) |sum_y K psi_s conj(w psi)|^2 and
+                    tr rho = int p / Z over non-null x0 are FFT correlations like A;
+                    only its spectrum forms the factor rows sqrt(t w / Z) psi_s(x) K(x0, x)
 
 One outcome pass (`chain._outcome_pass`) gives the lattice-aligned outcome grid, p and A
-as FFT correlations with m, and K as a view of one vector; `_outcome_figures` reads F, G
-and rho's weights off it.  Outcomes with normalized density at most NULL_OUTCOME_DENSITY
-are left out of F and rho.  F, G and rho raise InvalidParameterError rather than return
-values the grids cannot resolve, or raw F, G off [0, 1] by UNIT_SLACK.
+as FFT correlations with m, and K as one vector kappa with its outcome stride;
+`_outcome_figures` reads F, G and rho's weights off it.  Outcomes with normalized density
+at most NULL_OUTCOME_DENSITY are left out of F and rho.  F, G and rho raise
+InvalidParameterError rather than return values the grids cannot resolve, or raw F, G off
+[0, 1] by UNIT_SLACK.
 
 For a Gaussian probe the chain acts on m as one Gaussian filter of width sigma_f =
 sigma_p / tan phi, so the filter route (`_GaussianFilter`, behind the trade-off curve and
@@ -48,8 +52,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .chain import NULL_OUTCOME_DENSITY, _outcome_pass, check_phase
+from .chain import NULL_OUTCOME_DENSITY, _outcome_pass, _row_sums, check_phase
 from .errors import GridMismatchError, InvalidParameterError
 from .grids import Distribution, Grid, WaveFunction, amplitude_interpolator
 
@@ -86,26 +91,16 @@ def _check_filter_width(width: float, step: float) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class _OutcomeFigures:
-    """Raw F and G, the outcome weight t w / Z (0 where p is null) and the view K."""
-
-    f_raw: float
-    g_raw: float
-    weight: np.ndarray
-    kernel: np.ndarray
-
-
 def _outcome_figures(
     signal: WaveFunction, probe: WaveFunction, phi: float, n_outcomes: int
-) -> _OutcomeFigures:
-    """F, G and rho's inputs from one outcome pass; raises InvalidParameterError unless the
-    probe filter (width sigma_p / tan phi) spans a signal grid step and the outcome grid's
-    trapezoid of |psi_s|^2 is 1 within OUTCOME_MASS_SLACK."""
+) -> tuple[float, float, DensityMatrixGrid]:
+    """Raw F and G and the output ensemble rho from one outcome pass; raises
+    InvalidParameterError unless the probe filter (width sigma_p / tan phi) spans a signal
+    grid step and the outcome grid's trapezoid of |psi_s|^2 is 1 within OUTCOME_MASS_SLACK."""
     check_phase(phi)
     t = math.tan(phi)
     _check_filter_width(math.sqrt(probe.variance()) / t, signal.grid.step)
-    ogrid, p_raw, amp, kernel = _outcome_pass(signal, probe, phi, n_outcomes)
+    ogrid, p_raw, amp, kappa, stride, fft_size = _outcome_pass(signal, probe, phi, n_outcomes)
     s_abs = np.abs(amplitude_interpolator(signal)(ogrid.points))
     mass = float(ogrid.weights @ s_abs**2)
     if abs(mass - 1.0) > OUTCOME_MASS_SLACK:
@@ -117,7 +112,8 @@ def _outcome_figures(
     z = float(ogrid.weights @ p_raw)
     weight = np.where(density > NULL_OUTCOME_DENSITY, t * ogrid.weights / z, 0.0)
     coeff = float(ogrid.weights @ (np.sqrt(density) * s_abs))
-    return _OutcomeFigures(float(weight @ np.abs(amp) ** 2), coeff * coeff, weight, kernel)
+    rho = DensityMatrixGrid(signal.grid, signal.amplitudes, kappa, stride, fft_size, weight)
+    return float(weight @ np.abs(amp) ** 2), coeff * coeff, rho
 
 
 def fidelity_pair(
@@ -129,8 +125,8 @@ def fidelity_pair(
     """F, the outcome-averaged overlap of the conditional outputs with the input, and G, the
     squared Bhattacharyya coefficient between p(x0) and |psi_s(x)|^2, from one outcome pass.
     Null outcomes are skipped in F (their weight is negligible by construction)."""
-    figures = _outcome_figures(signal, probe, phi, n_outcomes)
-    return FidelityPair(F=_checked_unit(figures.f_raw), G=_checked_unit(figures.g_raw))
+    f_raw, g_raw, _ = _outcome_figures(signal, probe, phi, n_outcomes)
+    return FidelityPair(F=_checked_unit(f_raw), G=_checked_unit(g_raw))
 
 
 def state_fidelity(
@@ -242,21 +238,46 @@ class _GaussianFilter:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrixGrid:
-    """The outcome-averaged output ensemble rho(x, x') on a grid, held as its row factor:
-    rho = rows^T conj(rows), one row per non-null outcome.  Hermitian by construction."""
+    """The outcome-averaged output ensemble rho(x, x') on a grid, held as its generator:
+    rho(x, x') = sum_j weight_j psi_s(x) K(x0_j, x) conj(psi_s(x') K(x0_j, x')), with
+    K(x0_j, y_i) = kappa[i + stride (M - 1 - j)] over the M outcomes and weight_j = t w_j / Z
+    (0 where p is null).  Hermitian by construction; no matrix over x, x' is stored."""
 
     grid: Grid
-    rows: np.ndarray
+    amplitudes: np.ndarray  # psi_s
+    kappa: np.ndarray
+    stride: int
+    fft_size: int  # the power of two `_row_sums` correlates kappa at
+    weight: np.ndarray
+
+    def _correlate(self, values: np.ndarray, mass: np.ndarray) -> np.ndarray:
+        """sum_x values[x + stride (M - 1 - j)] mass(x) for every outcome j; mass may be
+        complex (`_row_sums` conjugates the transform it is given)."""
+        mass_hat = np.conj(np.fft.fft(np.conj(mass), self.fft_size))
+        return _row_sums(values, mass_hat, self.stride, self.weight.size)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """rho's factor, formed on each call: one row sqrt(t w / Z) psi_s(x) K(x0, x) per
+        non-null outcome, so that rho = rows^T conj(rows)."""
+        live = self.weight > 0.0
+        rows = sliding_window_view(self.kappa, self.grid.n_points)[:: -self.stride][live]
+        rows *= self.amplitudes
+        rows *= np.sqrt(self.weight[live])[:, None]
+        return rows
 
     def trace(self) -> float:
-        return float(np.sum(np.abs(self.rows) ** 2, axis=0) @ self.grid.weights)
+        """sum_j weight_j sum_x |K(x0_j, x)|^2 m(x), m = |psi_s|^2 w, by one correlation."""
+        mass = np.abs(self.amplitudes) ** 2 * self.grid.weights
+        return float(self.weight @ self._correlate(np.abs(self.kappa) ** 2, mass).real)
 
     def expectation(self, wf: WaveFunction) -> float:
-        """<psi| rho |psi> by double trapezoidal quadrature: sum_j |rows_j . conj(w psi)|^2."""
+        """<psi| rho |psi> by double trapezoidal quadrature: sum_j weight_j |sum_x K(x0_j, x)
+        psi_s(x) conj(w psi)(x)|^2, by one correlation."""
         if wf.grid != self.grid:
             raise GridMismatchError("expectation needs the state on the kernel's grid")
-        overlaps = self.rows @ np.conj(self.grid.weights * wf.amplitudes)
-        return float(np.sum(np.abs(overlaps) ** 2))
+        product = self.amplitudes * np.conj(self.grid.weights * wf.amplitudes)
+        return float(self.weight @ np.abs(self._correlate(self.kappa, product)) ** 2)
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of W^(1/2) rho W^(1/2) (W = quadrature weights).
@@ -281,13 +302,9 @@ def output_ensemble(
 ) -> DensityMatrixGrid:
     """Outcome-averaged output state rho(x, x') = int p(x0) psi_x0(x) psi_x0*(x') dx0.
 
-    Held as its factor: the non-null rows of K, sqrt(t w / Z) psi_s(x) K(x0, x), whose
-    product rows^T conj(rows) is rho; no N x N matrix is formed.  Raises
-    InvalidParameterError on grids that cannot resolve the probe filter, as F does.
+    Held as its generator: psi_s, the kernel vector kappa and the outcome weights t w / Z;
+    trace and <psi|rho|psi> are FFT correlations of kappa, and only `rows` (behind
+    `min_eigenvalue`) forms the M' x N factor.  Raises InvalidParameterError on grids that
+    cannot resolve the probe filter, as F does.
     """
-    figures = _outcome_figures(signal, probe, phi, n_outcomes)
-    live = figures.weight > 0.0
-    rows = figures.kernel[live]  # the one copy of K: its non-null rows
-    rows *= signal.amplitudes
-    rows *= np.sqrt(figures.weight[live])[:, None]  # row x0: sqrt(t w / Z) psi_s(x) K(x0, x)
-    return DensityMatrixGrid(signal.grid, rows)
+    return _outcome_figures(signal, probe, phi, n_outcomes)[2]

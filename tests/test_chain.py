@@ -5,6 +5,7 @@ import re
 import tracemalloc
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 from scipy.interpolate import CubicSpline
 from scipy.stats import norm
@@ -188,10 +189,11 @@ def test_outcome_kernel_is_one_vector_and_matches_one_shot_kernel(n_outcomes):
     signal = q.build_cat(1.8, 0.2025, q.auto_grid([cat], n_points=1024))
     probe = build(probe_spec, q.auto_grid([probe_spec], n_points=1024))
 
-    ogrid, p_raw, amp, kernel = q.chain._outcome_pass(signal, probe, phi, n_outcomes)
+    ogrid, p_raw, amp, kappa, k, size = q.chain._outcome_pass(signal, probe, phi, n_outcomes)
     assert ogrid == q.outcome_grid(signal, probe, phi, n_points=n_outcomes)
-    assert kernel.shape == (ogrid.n_points, 1024)
-    assert kernel.base is not None and not kernel.flags.writeable  # a view of one vector
+    assert kappa.shape == (1024 + k * (ogrid.n_points - 1),)  # one vector: K's rows overlap
+    assert size >= kappa.size and size & (size - 1) == 0  # the FFT size: a power of two
+    kernel = sliding_window_view(kappa, 1024)[::-k]
     y, x0 = signal.grid.points, ogrid.points
     one_shot = q.grids.amplitude_interpolator(probe)(t * (y[None, :] - x0[:, None]))
     # kappa's argument t h d and the one-shot t (y - x0) differ in the last bits:

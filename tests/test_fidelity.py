@@ -227,14 +227,39 @@ def test_ensemble_anti_squeezed_approaches_pure_input():
     assert np.abs(rho.rows.T @ rho.rows.conj() - pure).max() < 1e-2
 
 
-def search_cat_ensemble():
-    """The benchmark search's check on its seed-1 cat: 406 non-null rows over 1024 points."""
+def search_cat():
+    """The benchmark search's check on its seed-1 cat: signal, probe at x_m, and phi."""
     spec, phi, x_m = q.CatSpec(1.657491395289921, 0.17170485784125808), 0.8542301210811698, 1.362
     grid = q.auto_grid([spec], n_points=1024)
     signal = q.build_cat(spec.separation, spec.component_variance, grid)
     probe_spec = q.GaussianSpec(0.0, (x_m * math.sqrt(signal.variance()) * math.tan(phi)) ** 2)
     probe = q.build_gaussian(probe_spec, q.auto_grid([probe_spec], n_points=1024))
+    return signal, probe, phi
+
+
+def search_cat_ensemble():
+    """The search cat's ensemble on 512 outcomes: 406 non-null rows over 1024 points."""
+    signal, probe, phi = search_cat()
     return signal, q.output_ensemble(signal, probe, phi, n_outcomes=512)
+
+
+def chirped(wf, rate, slope):
+    """wf times the chirp exp(i (rate x^2 + slope x)): complex, with wf's density."""
+    x = wf.grid.points
+    chirp = np.exp(1j * (rate * x * x + slope * x))
+    return q.WaveFunction.normalized(wf.grid, wf.amplitudes * chirp)
+
+
+def chirped_cat_ensemble():
+    """Complex psi_s and K: the cat (1.8, 0.2025) and the vacuum probe under chirps.
+
+    rho(x, x') = psi_s(x) psi_s*(x') R(x - x'), R the probe's autocorrelation; a pure chirp
+    leaves R real, so the probe also gets a linear phase, which makes R complex.
+    """
+    spec = q.CatSpec(1.8, 0.2025)
+    signal = chirped(q.build_cat(1.8, 0.2025, q.auto_grid([spec], n_points=1024)), 0.9, 0.3)
+    probe = chirped(q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=1024)), 1.1, 1.3)
+    return signal, q.output_ensemble(signal, probe, 0.7, n_outcomes=512)
 
 
 def vacuum_ensemble():
@@ -245,34 +270,55 @@ def vacuum_ensemble():
 
 
 @pytest.mark.parametrize(
-    "make, shape", [(search_cat_ensemble, (406, 1024)), (vacuum_ensemble, (1064, 1024))]
+    "make, shape",
+    [
+        (search_cat_ensemble, (406, 1024)),
+        (vacuum_ensemble, (1064, 1024)),
+        (chirped_cat_ensemble, (234, 1024)),
+    ],
 )
 def test_ensemble_factor_reads_as_its_dense_product(make, shape):
     signal, rho = make()
     assert rho.rows.shape == shape  # fewer rows than points, and more: both eigenvalue forms
     dense = rho.rows.T @ rho.rows.conj()
     w = signal.grid.weights
-    v = w * signal.amplitudes
     root = np.sqrt(w)
-    assert abs(rho.expectation(signal) - np.real(np.conj(v) @ dense @ v)) < 1e-13
+    # psi = psi_s, and a complex psi whose chirp differs from any of psi_s
+    for psi in (signal, chirped(signal, -1.7, 0.5)):
+        v = w * psi.amplitudes
+        assert abs(rho.expectation(psi) - np.real(np.conj(v) @ dense @ v)) < 1e-13
     assert abs(rho.trace() - w @ np.real(np.diagonal(dense))) < 1e-13
     dense_eig = np.linalg.eigvalsh(root[:, None] * dense * root[None, :])[0]
     assert abs(rho.min_eigenvalue() - dense_eig) < 1e-13
 
 
+def ensemble_peak(signal, probe, phi, n_outcomes=qndsim.fidelity.OUTCOME_NODES):
+    """tracemalloc peak of output_ensemble, expectation and trace; the splines are fitted
+    beforehand, outside the measured window."""
+    q.state_fidelity(signal, probe, phi, n_outcomes)
+    tracemalloc.start()
+    try:
+        rho = q.output_ensemble(signal, probe, phi, n_outcomes)
+        rho.expectation(signal)
+        rho.trace()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ensemble_at_the_search_size_stays_small():
+    # a copy of K's 406 non-null rows took 6.7 MB (10 MB with the trace); kappa and its
+    # transforms peak at 0.53 MB
+    assert ensemble_peak(*search_cat(), n_outcomes=512) < 2e6
+
+
 def test_ensemble_of_a_cat_at_4096_points_stays_small():
-    # the dense N x N product peaked at 299 MB here; the factor is 468 x 4096 (31 MB)
+    # the dense N x N product peaked at 299 MB here, a copy of its 468 x 4096 factor at
+    # 31 MB (46 MB with the trace); kappa and its transforms peak at 1.2 MB
     spec = q.CatSpec(1.8, 0.2025)
     cat = q.build_cat(1.8, 0.2025, q.auto_grid([spec], n_points=4096))
     probe = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=4096))
-    q.state_fidelity(cat, probe, 0.7)  # fits both splines outside the measured window
-    tracemalloc.start()
-    try:
-        q.output_ensemble(cat, probe, 0.7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64e6
+    assert ensemble_peak(cat, probe, 0.7) < 4e6
 
 
 def test_ensemble_at_8192_points_matches_state_fidelity():
@@ -317,8 +363,13 @@ def test_cat_fidelity_matches_its_closed_form(separation, component_variance, ph
     probe_spec = q.GaussianSpec(0.0, x * x * variance * math.tan(phi) ** 2)
     probe = q.build_gaussian(probe_spec, q.auto_grid([probe_spec], n_points=1024))
     oracle = cat_oracle_state_fidelity(separation, component_variance, x)
+    pair = fidelity_pair(cat, probe, phi, n_outcomes=512)
     # at most 7.3e-11 over these cases; at 256 points 1.9e-8, and two cases are refused there
-    assert abs(q.state_fidelity(cat, probe, phi, n_outcomes=512) - oracle) < 1e-9
+    assert abs(pair.F - oracle) < 1e-9
+    # G against the analytic-density oracle: at most 5.5e-10 over these cases (the (2.5,
+    # 0.05) cat at x = 4, on the coarsest outcome step), 8.3e-11 at 1024 outcomes
+    g_oracle = cat_oracle_distribution_fidelity(separation, component_variance, x)
+    assert abs(pair.G - g_oracle) < 1e-9
     rho = q.output_ensemble(cat, probe, phi, n_outcomes=512)
     assert abs(rho.expectation(cat) - oracle) < 1e-9
 
