@@ -201,27 +201,24 @@ def outcome_grid(
     return Grid(y0 + first * h, y0 + last * h, (last - first) // k + 1)
 
 
-def _row_sums(values: np.ndarray, mass_hat: np.ndarray, k: int, rows: int) -> np.ndarray:
-    """Row j < rows: sum_i values[i + k (rows - 1 - j)] mass[i], by one FFT correlation;
-    with values = kappa, K @ mass without forming K.
-
-    mass_hat = conj(fft(conj(mass), size)), for a real mass conj(fft(mass, size)), with size
-    a power of two >= len(values) (no wrap-around); the caller transforms the mass once for
-    all its sums.
-    """
-    return np.fft.ifft(np.fft.fft(values, mass_hat.size) * mass_hat)[k * (rows - 1) :: -k]
+def _row_sums(values: np.ndarray, mass: np.ndarray, k: int, rows: int) -> np.ndarray:
+    """Row j < rows: sum_i values[i + k (rows - 1 - j)] mass[i], by one FFT correlation at
+    the power of two >= len(values) (nothing wraps); with values = kappa, K @ mass without
+    forming K.  The mass may be complex: its transform is conj(fft(conj(mass)))."""
+    size = 1 << (values.size - 1).bit_length()
+    mass_hat = np.conj(np.fft.fft(np.conj(mass), size))
+    return np.fft.ifft(np.fft.fft(values, size) * mass_hat)[k * (rows - 1) :: -k]
 
 
 def _outcome_pass(
     signal: WaveFunction, probe: WaveFunction, phi: float, n_outcomes: int | None
-) -> tuple[Grid, np.ndarray, np.ndarray, np.ndarray, int, int]:
+) -> tuple[Grid, np.ndarray, np.ndarray, int]:
     """The one kernel pass behind p, F, G and rho, on `outcome_grid(n_points=n_outcomes)`.
 
     kappa[e] = psi_p(tan(phi) h (e - o - k (M - 1))) on the signal lattice (step h), so
     K(x0_j, y_i) = psi_p(tan(phi) (y_i - x0_j)) = kappa[i + k (M - 1 - j)].  Returns the
-    grid, p_raw = t sum_y |K|^2 m and A = sum_y K m (m = |psi_s|^2 w, both by FFT
-    correlation against one transform of m), kappa, the outcome stride k and the FFT size
-    that `_row_sums` correlates kappa at.
+    grid, p_raw = t sum_y |K|^2 m (m = |psi_s|^2 w, one `_row_sums` correlation), kappa and
+    the outcome stride k.  Refuses a kernel whose FFT numpy cannot index.
     """
     ogrid = outcome_grid(signal, probe, phi, n_points=n_outcomes)
     y0, h, n, m = signal.grid.x_min, signal.grid.step, signal.grid.n_points, ogrid.n_points
@@ -229,18 +226,15 @@ def _outcome_pass(
     last = round((ogrid.x_min - y0) / h) + k * (m - 1)
     t = math.tan(phi)
     size = n + k * (m - 1)  # Python ints: checked before numpy sees them
-    fft_size = 1 << (size - 1).bit_length()
-    if fft_size * np.dtype(np.complex128).itemsize > np.iinfo(np.intp).max:
+    bits = (size - 1).bit_length()  # `_row_sums` transforms at 2**bits points
+    if np.dtype(np.complex128).itemsize << bits > np.iinfo(np.intp).max:
         raise InvalidParameterError(
             f"probe filter width {math.sqrt(probe.variance()) / t:.3g} needs a kernel of about "
-            f"2**{(size - 1).bit_length()} points at the signal grid step {h:.3g}, more than "
-            "numpy can index"
+            f"2**{bits} points at the signal grid step {h:.3g}, more than numpy can index"
         )
     kappa = amplitude_interpolator(probe)((np.arange(size) - last) * (t * h))
     mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
-    mass_hat = np.conj(np.fft.fft(mass, fft_size))
-    p_raw = t * _row_sums(np.abs(kappa) ** 2, mass_hat, k, m).real
-    return ogrid, p_raw, _row_sums(kappa, mass_hat, k, m), kappa, k, fft_size
+    return ogrid, t * _row_sums(np.abs(kappa) ** 2, mass, k, m).real, kappa, k
 
 
 def homodyne_distribution(

@@ -15,22 +15,20 @@ Everything resolved by outcome comes from one kernel over outcomes x0 and
 signal points y, K(x0, y) = psi_p(tan phi (y - x0)), with t = tan phi, w
 the quadrature weights and m = |psi_s|^2 w the signal mass:
 
-  outcome density   p(x0) = t sum_y |K(x0, y)|^2 m(y),   Z = int p dx0
-  state fidelity    p(x0) |<psi_s|psi_x0>|^2 = t |A(x0)|^2,   A = sum_y K m,
-                    so F = int t |A|^2 dx0 / Z
-  distribution fid. G = ( int sqrt(p(x0) / Z) |psi_s(x0)| dx0 )^2 on the same outcomes
+  outcome density   p(x0) = t sum_y |K(x0, y)|^2 m(y),   Z = int p dx0, one FFT correlation
   output ensemble   rho(x, x') = psi_s(x) psi_s*(x') (t / Z) int K(x0, x) K*(x0, x') dx0,
                     held as its generator: psi_s, K and the weights t w / Z, so
                     <psi|rho|psi> = sum_x0 (t w / Z) |sum_y K psi_s conj(w psi)|^2 and
-                    tr rho = int p / Z over non-null x0 are FFT correlations like A;
+                    tr rho = int p / Z over non-null x0 are FFT correlations like p;
                     only its spectrum forms the factor rows sqrt(t w / Z) psi_s(x) K(x0, x)
+  state fidelity    F = <psi_s|rho|psi_s>, since p(x0) |<psi_s|psi_x0>|^2 = t |sum_y K m|^2
+  distribution fid. G = ( int sqrt(p(x0) / Z) |psi_s(x0)| dx0 )^2 on the same outcomes
 
-One outcome pass (`chain._outcome_pass`) gives the lattice-aligned outcome grid, p and A
-as FFT correlations with m, and K as one vector kappa with its outcome stride;
-`_outcome_figures` reads F, G and rho's weights off it.  Outcomes with normalized density
-at most NULL_OUTCOME_DENSITY are left out of F and rho.  F, G and rho raise
-InvalidParameterError rather than return values the grids cannot resolve, or raw F, G off
-[0, 1] by UNIT_SLACK.
+One outcome pass (`chain._outcome_pass`) gives the lattice-aligned outcome grid, p, and K
+as one vector kappa with its outcome stride; `_outcome_figures` reads G and rho's weights
+off it, and F is read off rho.  Outcomes with normalized density at most
+NULL_OUTCOME_DENSITY are left out of F and rho.  F, G and rho raise InvalidParameterError
+rather than return values the grids cannot resolve, or raw F, G off [0, 1] by UNIT_SLACK.
 
 For a Gaussian probe the chain acts on m as one Gaussian filter of width sigma_f =
 sigma_p / tan phi, so the filter route (`_GaussianFilter`, behind the trade-off curve and
@@ -93,14 +91,14 @@ def _check_filter_width(width: float, step: float) -> None:
 
 def _outcome_figures(
     signal: WaveFunction, probe: WaveFunction, phi: float, n_outcomes: int
-) -> tuple[float, float, DensityMatrixGrid]:
-    """Raw F and G and the output ensemble rho from one outcome pass; raises
+) -> tuple[float, DensityMatrixGrid]:
+    """Raw G and the output ensemble rho from one outcome pass; raises
     InvalidParameterError unless the probe filter (width sigma_p / tan phi) spans a signal
     grid step and the outcome grid's trapezoid of |psi_s|^2 is 1 within OUTCOME_MASS_SLACK."""
     check_phase(phi)
     t = math.tan(phi)
     _check_filter_width(math.sqrt(probe.variance()) / t, signal.grid.step)
-    ogrid, p_raw, amp, kappa, stride, fft_size = _outcome_pass(signal, probe, phi, n_outcomes)
+    ogrid, p_raw, kappa, stride = _outcome_pass(signal, probe, phi, n_outcomes)
     s_abs = np.abs(amplitude_interpolator(signal)(ogrid.points))
     mass = float(ogrid.weights @ s_abs**2)
     if abs(mass - 1.0) > OUTCOME_MASS_SLACK:
@@ -112,8 +110,7 @@ def _outcome_figures(
     z = float(ogrid.weights @ p_raw)
     weight = np.where(density > NULL_OUTCOME_DENSITY, t * ogrid.weights / z, 0.0)
     coeff = float(ogrid.weights @ (np.sqrt(density) * s_abs))
-    rho = DensityMatrixGrid(signal.grid, signal.amplitudes, kappa, stride, fft_size, weight)
-    return float(weight @ np.abs(amp) ** 2), coeff * coeff, rho
+    return coeff * coeff, DensityMatrixGrid(signal.grid, signal.amplitudes, kappa, stride, weight)
 
 
 def fidelity_pair(
@@ -123,10 +120,11 @@ def fidelity_pair(
     n_outcomes: int = OUTCOME_NODES,
 ) -> FidelityPair:
     """F, the outcome-averaged overlap of the conditional outputs with the input, and G, the
-    squared Bhattacharyya coefficient between p(x0) and |psi_s(x)|^2, from one outcome pass.
-    Null outcomes are skipped in F (their weight is negligible by construction)."""
-    f_raw, g_raw, _ = _outcome_figures(signal, probe, phi, n_outcomes)
-    return FidelityPair(F=_checked_unit(f_raw), G=_checked_unit(g_raw))
+    squared Bhattacharyya coefficient between p(x0) and |psi_s(x)|^2, from one outcome pass:
+    F = <psi_s|rho|psi_s> of the output ensemble.  Null outcomes are skipped in F (their
+    weight is negligible by construction)."""
+    g_raw, rho = _outcome_figures(signal, probe, phi, n_outcomes)
+    return FidelityPair(F=_checked_unit(rho.expectation(signal)), G=_checked_unit(g_raw))
 
 
 def state_fidelity(
@@ -145,8 +143,9 @@ def distribution_fidelity(
     phi: float,
     n_outcomes: int = OUTCOME_NODES,
 ) -> float:
-    """Distribution fidelity G between p(x0) and |psi_s(x)|^2: `fidelity_pair(...).G`."""
-    return fidelity_pair(signal, probe, phi, n_outcomes).G
+    """Distribution fidelity G between p(x0) and |psi_s(x)|^2: `fidelity_pair(...).G`,
+    without reading F off rho."""
+    return _checked_unit(_outcome_figures(signal, probe, phi, n_outcomes)[0])
 
 
 def _check_ratio(x: float) -> None:
@@ -247,14 +246,7 @@ class DensityMatrixGrid:
     amplitudes: np.ndarray  # psi_s
     kappa: np.ndarray
     stride: int
-    fft_size: int  # the power of two `_row_sums` correlates kappa at
     weight: np.ndarray
-
-    def _correlate(self, values: np.ndarray, mass: np.ndarray) -> np.ndarray:
-        """sum_x values[x + stride (M - 1 - j)] mass(x) for every outcome j; mass may be
-        complex (`_row_sums` conjugates the transform it is given)."""
-        mass_hat = np.conj(np.fft.fft(np.conj(mass), self.fft_size))
-        return _row_sums(values, mass_hat, self.stride, self.weight.size)
 
     @property
     def rows(self) -> np.ndarray:
@@ -269,7 +261,8 @@ class DensityMatrixGrid:
     def trace(self) -> float:
         """sum_j weight_j sum_x |K(x0_j, x)|^2 m(x), m = |psi_s|^2 w, by one correlation."""
         mass = np.abs(self.amplitudes) ** 2 * self.grid.weights
-        return float(self.weight @ self._correlate(np.abs(self.kappa) ** 2, mass).real)
+        sums = _row_sums(np.abs(self.kappa) ** 2, mass, self.stride, self.weight.size)
+        return float(self.weight @ sums.real)
 
     def expectation(self, wf: WaveFunction) -> float:
         """<psi| rho |psi> by double trapezoidal quadrature: sum_j weight_j |sum_x K(x0_j, x)
@@ -277,7 +270,8 @@ class DensityMatrixGrid:
         if wf.grid != self.grid:
             raise GridMismatchError("expectation needs the state on the kernel's grid")
         product = self.amplitudes * np.conj(self.grid.weights * wf.amplitudes)
-        return float(self.weight @ np.abs(self._correlate(self.kappa, product)) ** 2)
+        sums = _row_sums(self.kappa, product, self.stride, self.weight.size)
+        return float(self.weight @ np.abs(sums) ** 2)
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of W^(1/2) rho W^(1/2) (W = quadrature weights).
@@ -307,4 +301,4 @@ def output_ensemble(
     `min_eigenvalue`) forms the M' x N factor.  Raises InvalidParameterError on grids that
     cannot resolve the probe filter, as F does.
     """
-    return _outcome_figures(signal, probe, phi, n_outcomes)[2]
+    return _outcome_figures(signal, probe, phi, n_outcomes)[1]

@@ -175,16 +175,22 @@ def numeric_trade_off_curve(
     """
     check_phase(phi)
     route, sigma_s = _GaussianFilter(signal), math.sqrt(signal.variance())
-    return [_ratio_pair(route, sigma_s, i, x) for i, x in enumerate(xs)]
+    return [_ratio_pair(route, sigma_s, x, point=i) for i, x in enumerate(xs)]
 
 
-def _ratio_pair(route: _GaussianFilter, sigma_s: float, i: int, x: float) -> FidelityPair:
-    """(F, G) of `route` at filter ratio x (width x sigma_s); a failure names point i."""
+def _ratio_pair(
+    route: _GaussianFilter, sigma_s: float, x: float, point: int | None = None
+) -> FidelityPair:
+    """(F, G) of `route` at filter ratio x (width x sigma_s); a failure names x, and the
+    curve's point index when one is given."""
     try:
         _check_ratio(x)
         return route.pair(float(x) * sigma_s)
     except QndSimError as err:
-        raise type(err)(f"trade-off point {i} (filter ratio {x}): {err}") from err
+        where = f"filter ratio {x}"
+        if point is not None:
+            where = f"trade-off point {point} ({where})"
+        raise type(err)(f"{where}: {err}") from err
 
 
 def _trade_off_report(
@@ -233,4 +239,4 @@ def numeric_trade_off_report(
     outcome grid is built."""
     check_phase(phi)
     route, sigma_s = _GaussianFilter(signal), math.sqrt(signal.variance())
-    return _trade_off_report(lambda x: _ratio_pair(route, sigma_s, 0, x), lo, hi, tol)
+    return _trade_off_report(lambda x: _ratio_pair(route, sigma_s, x), lo, hi, tol)

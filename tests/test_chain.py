@@ -189,10 +189,9 @@ def test_outcome_kernel_is_one_vector_and_matches_one_shot_kernel(n_outcomes):
     signal = q.build_cat(1.8, 0.2025, q.auto_grid([cat], n_points=1024))
     probe = build(probe_spec, q.auto_grid([probe_spec], n_points=1024))
 
-    ogrid, p_raw, amp, kappa, k, size = q.chain._outcome_pass(signal, probe, phi, n_outcomes)
+    ogrid, p_raw, kappa, k = q.chain._outcome_pass(signal, probe, phi, n_outcomes)
     assert ogrid == q.outcome_grid(signal, probe, phi, n_points=n_outcomes)
     assert kappa.shape == (1024 + k * (ogrid.n_points - 1),)  # one vector: K's rows overlap
-    assert size >= kappa.size and size & (size - 1) == 0  # the FFT size: a power of two
     kernel = sliding_window_view(kappa, 1024)[::-k]
     y, x0 = signal.grid.points, ogrid.points
     one_shot = q.grids.amplitude_interpolator(probe)(t * (y[None, :] - x0[:, None]))
@@ -206,7 +205,9 @@ def test_outcome_kernel_is_one_vector_and_matches_one_shot_kernel(n_outcomes):
     assert np.array_equal(density, q.Distribution.normalized(ogrid, p_raw).density)
     # FFT correlation against the direct sum: 5e-16 at most, density peak 0.25
     assert np.abs(density - expected.density).max() < 1e-14
-    assert np.abs(amp - one_shot @ mass).max() < 1e-14  # 7.8e-16 at most, peak 0.38
+    # the complex row sums K @ m that <psi_s|rho|psi_s> squares: 7.8e-16 at most, peak 0.38
+    amp = q.chain._row_sums(kappa, mass, k, ogrid.n_points)
+    assert np.abs(amp - one_shot @ mass).max() < 1e-14
 
 
 @pytest.mark.parametrize(

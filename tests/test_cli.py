@@ -368,6 +368,18 @@ def test_nonpositive_x_min_exits_3_naming_the_flag(tmp_path, capsys, command):
     assert "--x-min" in capsys.readouterr().err
 
 
+def test_numeric_optimize_unresolved_ratio_exits_3_naming_only_the_ratio(tmp_path, capsys):
+    # x = 0.001 is a filter of width 0.0005, below the default signal grid step 0.0098;
+    # optimize has no point list, so the error names the ratio alone
+    out = tmp_path / "fine"
+    code = main(["optimize", "--mode", "numeric", "--x-min", "0.001", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: filter ratio 0.001: probe filter width 0.0005 is below")
+    assert "point" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("x_max, message", [
     ("inf", "--x-max must be finite"),
     ("1e308", "2 x^2 finite"),  # finite, but the closed forms overflow

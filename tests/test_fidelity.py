@@ -12,7 +12,7 @@ import qndsim as q
 import qndsim.chain
 import qndsim.fidelity
 from qndsim.chain import NULL_OUTCOME_DENSITY
-from qndsim.errors import InvalidParameterError
+from qndsim.errors import GridMismatchError, InvalidParameterError
 from qndsim.fidelity import fidelity_pair
 
 VACUUM = q.GaussianSpec(0.0, 0.25)
@@ -327,6 +327,18 @@ def test_ensemble_at_8192_points_matches_state_fidelity():
     rho = q.output_ensemble(signal, probe, QUARTER_PI, n_outcomes=256)
     fidelity = q.state_fidelity(signal, probe, QUARTER_PI, n_outcomes=256)
     assert abs(rho.expectation(signal) - fidelity) < 1e-12
+    # F is <psi_s|rho|psi_s>, so the closed form at x = 1 is the independent reference:
+    # sqrt(2/3), 5.5e-10 away on 256 outcomes
+    assert abs(fidelity - math.sqrt(2.0 / 3.0)) < 1e-9
+
+
+def test_ensemble_expectation_refuses_a_state_on_another_grid():
+    signal, rho = search_cat_ensemble()
+    # the same node count on a narrower span: without the check the sums would run
+    other = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=signal.grid.n_points))
+    assert other.grid != signal.grid
+    with pytest.raises(GridMismatchError, match="on the kernel's grid"):
+        rho.expectation(other)
 
 
 # --- cat oracle ------------------------------------------------------------------
