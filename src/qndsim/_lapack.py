@@ -1,10 +1,15 @@
-"""LAPACK zgtsv from the OpenBLAS that numpy's wheel bundles.
+"""LAPACK zgttrf and zgttrs from the OpenBLAS that numpy's wheel bundles.
 
-numpy >= 2's Linux wheels ship OpenBLAS in `numpy.libs/` (64-bit integers, symbols
-`scipy_<name>_64_`) and map it on `import numpy`; calling it through ctypes
-costs no further import.  Builds without it (numpy 1.x, macOS, Windows, conda,
-distributions) use scipy.linalg's wrapper of the same routine, imported at the
-first call; that is why scipy stays a runtime dependency.
+A spline fit factors its grid's tridiagonal band once (zgttrf) and solves every
+right-hand side against the factors (zgttrs).  numpy >= 2's Linux wheels ship
+OpenBLAS in `numpy.libs/` (64-bit integers, symbols `scipy_<name>_64_`) and map it
+on `import numpy`; calling it through ctypes costs no further import.  Builds
+without it (numpy 1.x, macOS, Windows, conda, distributions) use scipy.linalg's
+wrappers of the same routines, imported at the first call; that is why scipy stays
+a runtime dependency.
+
+The factors travel as one complex array holding zgttrf's dl, d, du and du2 back to
+back (4 n - 4 values) and the pivot indices as int64, whichever library made them.
 """
 
 from __future__ import annotations
@@ -17,39 +22,69 @@ import numpy as np
 
 
 def _bundled():
-    """zgtsv of the bundled OpenBLAS, or None when it is not there."""
+    """zgttrf and zgttrs of the bundled OpenBLAS, or (None, None) when they are not there."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
         lib = ctypes.CDLL(path)  # already mapped by numpy: the same handle
         try:
-            zgtsv = lib.scipy_zgtsv_64_
+            zgttrf, zgttrs = lib.scipy_zgttrf_64_, lib.scipy_zgttrs_64_
         except AttributeError:
             continue
-        zgtsv.argtypes, zgtsv.restype = [ctypes.c_void_p] * 8, None
-        return zgtsv
-    return None
+        zgttrf.argtypes, zgttrf.restype = [ctypes.c_void_p] * 7, None
+        # TRANS, then ten pointers, then the hidden length of TRANS
+        zgttrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t]
+        zgttrs.restype = None
+        return zgttrf, zgttrs
+    return None, None
 
 
-_ZGTSV = _bundled()
+_ZGTTRF, _ZGTTRS = _bundled()
 
 
-def zgtsv(lower, diag, upper, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solve the tridiagonal system (sub-, main, super-diagonal) for the (n, nrhs) rhs.
+def zgttrf(lower, diag, upper) -> tuple[np.ndarray, np.ndarray, int]:
+    """LU factors of the tridiagonal band (sub-, main, super-diagonal, n >= 2 rows).
+
+    Returns the factors (dl, d, du, du2 back to back, complex), the int64 pivot
+    indices and LAPACK's info; the band is cast to complex and not modified.
+    """
+    n = len(diag)
+    if n < 2 or not len(lower) == len(upper) == n - 1:
+        raise ValueError("zgttrf needs a band of n >= 2, n - 1 and n - 1 values")
+    if _ZGTTRF is None:
+        from scipy.linalg.lapack import zgttrf as scipy_zgttrf
+
+        *parts, ipiv, info = scipy_zgttrf(lower, diag, upper)
+        return np.concatenate(parts), ipiv.astype(np.int64), int(info)
+    factors = np.zeros(4 * n - 4, dtype=np.complex128)
+    factors[: 3 * n - 2] = np.concatenate((lower, diag, upper))
+    ipiv = np.empty(n, dtype=np.int64)
+    ints = np.array([n, 0], dtype=np.int64)  # N, INFO
+    p, i = factors.ctypes.data, ints.ctypes.data
+    _ZGTTRF(i, p, p + 16 * (n - 1), p + 16 * (2 * n - 1), p + 16 * (3 * n - 2),
+            ipiv.ctypes.data, i + 8)
+    return factors, ipiv, int(ints[1])
+
+
+def zgttrs(factors: np.ndarray, ipiv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the factored band (zgttrf's factors and pivots) for the (n, nrhs) rhs.
 
     Returns the solution, Fortran-ordered (in rhs's memory when rhs is a Fortran-ordered
-    complex128 array), and LAPACK's info; the band is cast to complex and not modified.
+    complex128 array); the factors are not modified.  zgttrs cannot fail on a factored
+    band (its info reports only an illegal argument), so info is not returned.
     """
-    if _ZGTSV is None:
-        from scipy.linalg.lapack import zgtsv as scipy_zgtsv
+    n = ipiv.size
+    if _ZGTTRS is None:
+        from scipy.linalg.lapack import zgttrs as scipy_zgttrs
 
-        *_, x, info = scipy_zgtsv(lower, diag, upper, rhs, overwrite_b=1)
-        return x, int(info)
+        dl, d, du, du2 = np.split(factors, [n - 1, 2 * n - 1, 3 * n - 2])
+        return scipy_zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)[0]
     b = np.asfortranarray(rhs, dtype=np.complex128)
-    n = b.shape[0]
-    if b.ndim != 2 or len(diag) != n or not len(lower) == len(upper) == n - 1:
-        raise ValueError("zgtsv needs a band of n, n - 1 and n - 1 values and an (n, nrhs) rhs")
-    band = np.concatenate((lower, diag, upper), dtype=np.complex128)  # overwritten: a copy
+    pointers_ok = all(a.flags.c_contiguous for a in (factors, ipiv)) and (
+        factors.dtype, ipiv.dtype, factors.shape) == (np.complex128, np.int64, (4 * n - 4,))
+    if not pointers_ok or b.ndim != 2 or b.shape[0] != n:
+        raise ValueError("zgttrs needs zgttrf's factors of an n-row band and an (n, nrhs) rhs")
     ints = np.array([n, b.shape[1], 0], dtype=np.int64)  # N (also LDB), NRHS, INFO: per call
-    dl, i = band.ctypes.data, ints.ctypes.data
-    _ZGTSV(i, i + 8, dl, dl + 16 * (n - 1), dl + 16 * (2 * n - 1), b.ctypes.data, i, i + 16)
-    return b, int(ints[2])
+    p, i = factors.ctypes.data, ints.ctypes.data
+    _ZGTTRS(b"N", i, i + 8, p, p + 16 * (n - 1), p + 16 * (2 * n - 1), p + 16 * (3 * n - 2),
+            ipiv.ctypes.data, b.ctypes.data, i, i + 16, 1)
+    return b

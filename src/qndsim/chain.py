@@ -80,9 +80,9 @@ class JointWaveFunction:
         """Mode-1 state after a sharp mode-2 projection at the given reading.
 
         Every row of the amplitude matrix is fitted with scipy's not-a-knot spline along
-        mode 2 (one multi-column zgtsv solve per row block, from numpy's bundled OpenBLAS
-        as in `_spline_slopes`), only the reading's interval is formed, and the resulting
-        slice is renormalized.  The slice equals
+        mode 2 (`_spline_slopes` on grid2: one multi-column zgttrs solve per row block,
+        against the band grid2 factors once), only the reading's interval is formed, and
+        the resulting slice is renormalized.  The slice equals
         `CubicSpline(grid2.points, A, axis=1)(reading)` bit for bit: the same interval
         (half-open, the last one closed, the end ones extended by the covers() slack)
         and PPoly's sum c3 + c2 s + c1 s^2 + c0 (s^2 s).  A slice of mass
@@ -101,7 +101,7 @@ class JointWaveFunction:
         blocks = self._row_blocks()
         for start in blocks:
             columns = self.amplitudes[start : start + blocks.step].T
-            s, slope = _spline_slopes(knots, columns)
+            s, slope = _spline_slopes(self.grid2, columns)
             c0, c1, c2, c3 = _hermite_coefficients(
                 knots[i + 1] - knots[i], columns[i], s[i], s[i + 1], slope[i]
             )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from functools import cached_property
-from typing import Callable, ClassVar, Iterable, Union
+from typing import Callable, ClassVar, Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -62,6 +62,11 @@ class Grid:
         w[0] = w[-1] = 0.5 * self.step
         w.flags.writeable = False
         return w
+
+    @cached_property
+    def _spline_band(self) -> "_SplineBand":
+        """The grid-only half of every spline fit on this grid, made at its first fit."""
+        return _factor_spline_band(self)
 
     def covers(self, lo: float, hi: float) -> bool:
         """Whether [lo, hi] fits inside the grid, up to a relative slack."""
@@ -325,21 +330,23 @@ def format_state_spec(spec: StateSpec) -> str:
     return f"{spec.kind}:" + ",".join(repr(field) for field in astuple(spec))
 
 
-def _spline_slopes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Knot derivatives and secant slopes of the not-a-knot cubic spline through (x, y[i]).
+class _SplineBand(NamedTuple):
+    """What every spline fit on a grid needs of the grid alone."""
 
-    y holds one curve per column (axis 0 runs along x, len(x) >= 4).  This is scipy's
-    `CubicSpline(x, y, axis=0)` system, bit for bit: the same band and right-hand side,
-    solved for all columns by one LAPACK zgtsv call on the band cast to complex, as
-    `solve_banded((1, 1))` does for complex y.  The call goes to the OpenBLAS bundled
-    with numpy (`_lapack.zgtsv`), which solves bit for bit as scipy's does.  y must be
-    complex128 (every WaveFunction is): real y would need dgtsv, whose bits differ from
-    zgtsv's real part.
-    """
-    n = x.size
+    factors: np.ndarray  # zgttrf's dl, d, du, du2 of the not-a-knot band, back to back
+    ipiv: np.ndarray  # zgttrf's pivot indices
+    dx: np.ndarray  # the knot spacings
+    # evaluator tables, indexed by k = interval + 1: the knot s is measured from, and the
+    # knot that decides between two neighbouring intervals.  k = 0 (below x_min, NaN) and
+    # k = n (above x_max) are sentinels: zero coefficients, and s is clamped to 0 there.
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+def _factor_spline_band(grid: Grid) -> _SplineBand:
+    """Factor the not-a-knot band of scipy's `CubicSpline` on the grid's knots by zgttrf."""
+    x, n = grid.points, grid.n_points
     dx = np.diff(x)
-    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
-    slope = np.diff(y, axis=0) / dxr
     # the band: sub-, main and super-diagonal, with the not-a-knot end rows
     lower, diag, upper = np.empty(n - 1), np.empty(n), np.empty(n - 1)
     diag[1:-1] = 2 * (dx[:-1] + dx[1:])
@@ -347,15 +354,46 @@ def _spline_slopes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     lower[:-1] = dx[1:]
     diag[0], upper[0] = dx[1], x[2] - x[0]
     diag[-1], lower[-1] = dx[-2], x[-1] - x[-3]
+    factors, ipiv, info = _lapack.zgttrf(lower, diag, upper)
+    if info:
+        raise InvalidParameterError(f"spline system is singular (zgttrf info {info})")
+    band = _SplineBand(
+        factors,
+        ipiv,
+        dx,
+        np.concatenate(([grid.x_min], x[:-1], [np.inf])),
+        np.concatenate(([grid.x_min], x[1:-1], [np.nextafter(grid.x_max, np.inf)], [np.inf])),
+    )
+    for array in band:
+        array.flags.writeable = False
+    return band
+
+
+def _spline_slopes(grid: Grid, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knot derivatives and secant slopes of the not-a-knot cubic spline through
+    (grid.points, y[i]).
+
+    y holds one curve per column (axis 0 runs along the grid).  This is scipy's
+    `CubicSpline(x, y, axis=0)` system, bit for bit: the same band and right-hand side.
+    The band depends on the knots alone, so the grid factors it once, at its first fit
+    (LAPACK zgttrf, `Grid._spline_band`), and each call solves all columns by one zgttrs
+    call against those factors; both come from the OpenBLAS bundled with numpy
+    (`_lapack`).  When no row is interchanged, zgttrf + zgttrs is exactly the
+    elimination of zgtsv, which `solve_banded((1, 1))` calls for complex y; the band of
+    a uniform grid interchanges none (row 0 has |d| = |dl| = h, and later pivots tend to
+    (2 + sqrt 3) h, more than the last row's 2 h).  y must be complex128 (every
+    WaveFunction is): for real y scipy calls dgtsv, whose bits differ.
+    """
+    band, x, n = grid._spline_band, grid.points, grid.n_points
+    dxr = band.dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
     rhs = np.empty_like(y)  # y's memory order: F-ordered columns are solved in place
     rhs[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
     d = x[2] - x[0]
     rhs[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
     d = x[-1] - x[-3]
     rhs[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-    derivs, info = _lapack.zgtsv(lower, diag, upper, rhs.reshape(n, -1))
-    if info:
-        raise InvalidParameterError(f"spline system is singular (zgtsv info {info})")
+    derivs = _lapack.zgttrs(band.factors, band.ipiv, rhs.reshape(n, -1))
     return derivs.reshape(y.shape), slope
 
 
@@ -372,10 +410,12 @@ def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:
     `evaluate(x)` returns complex values of x's shape.  Points outside
     [x_min, x_max], NaN and +/-inf included, give 0.
 
-    The spline is scipy's `CubicSpline` (not-a-knot) on the grid, fitted in
-    place by `_spline_slopes` (one LAPACK zgtsv call from numpy's bundled
-    OpenBLAS, no scipy), and the values equal `CubicSpline.__call__` bit for
-    bit: the same interval (half-open, the last one closed), the same
+    The spline is scipy's `CubicSpline` (not-a-knot) on the grid, fitted by
+    `_spline_slopes` (one LAPACK zgttrs solve against the band the grid
+    factored once, from numpy's bundled OpenBLAS, no scipy); c3, c2, c1 and c0
+    are written into one zero-padded array and kept as contiguous float tables,
+    indexed as the grid's knot tables.  The values equal `CubicSpline.__call__`
+    bit for bit: the same interval (half-open, the last one closed), the same
     s = x - knot, and the same sum c3 + c2 s + c1 s^2 + c0 s^3 with
     s^3 = s^2 s.  Only the interval search is replaced: the knots are
     uniform, so (x - x_min) / step + 1/2 truncates to one of two neighbouring
@@ -392,23 +432,24 @@ def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:
     cached = wf.__dict__.get("_cached_interpolator")
     if cached is not None:
         return cached
-    knots, amps = wf.grid.points, wf.amplitudes
+    grid, amps = wf.grid, wf.amplitudes
+    band, n = grid._spline_band, grid.n_points
+    # rows c3, c2, c1, c0 (constant term first), indexed as band.lower and band.upper
+    coef = np.zeros((4, n + 1), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        s, slope = _spline_slopes(knots, amps)
-        coef = np.stack(_hermite_coefficients(np.diff(knots), amps[:-1], s[:-1], s[1:], slope))
+        s, slope = _spline_slopes(grid, amps)
+        pieces = _hermite_coefficients(band.dx, amps[:-1], s[:-1], s[1:], slope)
+        for row, piece in zip(coef[::-1, 1:n], pieces):
+            row[...] = piece
     if not np.isfinite(coef.view(np.float64)).all():  # float view: half the cost of complex
         raise InvalidParameterError(
-            f"spline coefficients overflow at grid step {wf.grid.step:.3g}: the state is "
+            f"spline coefficients overflow at grid step {grid.step:.3g}: the state is "
             "too narrow for floating point; use a wider state or a coarser grid"
         )
-    lo, hi, n = wf.grid.x_min, wf.grid.x_max, wf.grid.n_points
-    inv_step = 1.0 / wf.grid.step
-    # Tables indexed by k = interval + 1.  k = 0 (below x_min, NaN) and k = n
-    # (above x_max) are sentinels: zero coefficients, and s is clamped to 0 there.
-    lower = np.concatenate(([lo], knots[:-1], [np.inf]))  # the knot s is measured from
-    upper = np.concatenate(([lo], knots[1:-1], [np.nextafter(hi, np.inf)], [np.inf]))
+    lo, lower, upper = grid.x_min, band.lower, band.upper
+    inv_step = 1.0 / grid.step
     parts = (coef.real,) if not np.any(coef.imag) else (coef.real, coef.imag)
-    tables = [[np.concatenate(([0.0], row, [0.0])) for row in c[::-1]] for c in parts]
+    tables = [np.ascontiguousarray(part) for part in parts]  # take() gathers from these
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

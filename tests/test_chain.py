@@ -418,6 +418,39 @@ def test_pipeline_equals_closed_form_single_combo():
     assert l2_distance(staged, q.conditional_output(signal, probe, phi, x0)) < 1e-6
 
 
+def cubic_spline_evaluator(wf):
+    """scipy's not-a-knot CubicSpline of the amplitudes, zero outside the grid."""
+    knots, lo, hi = wf.grid.points, wf.grid.x_min, wf.grid.x_max
+    spline = CubicSpline(knots, wf.amplitudes)
+    return lambda x: np.where((x >= lo) & (x <= hi), spline(np.clip(x, lo, hi)), 0.0)
+
+
+@pytest.mark.parametrize("x0", [-0.5, 0.3])
+def test_staged_pipeline_matches_cubic_spline_stages_bitwise(x0):
+    spec = q.CatSpec(1.8, 0.2025)
+    policy = q.GridPolicy(n_points=2048, halfspan=12.0)
+    signal = q.build_state(spec, policy.grid_for([spec]))
+    probe = build(VACUUM, policy.grid_for([VACUUM]))
+    phi = 0.7
+    staged = q.output_squeeze(
+        q.feedback_displace(q.conditional_state_raw(signal, probe, phi, x0), x0, phi), phi
+    )
+    # the same three stages, each spline from CubicSpline
+    c, s = math.cos(phi), math.sin(phi)
+    grid, y = signal.grid, signal.grid.points
+    raw = q.WaveFunction.normalized(
+        grid,
+        cubic_spline_evaluator(signal)(y * c + x0 * s * s)
+        * cubic_spline_evaluator(probe)(y * s - x0 * c * s),
+    )
+    shifted = q.WaveFunction.normalized(
+        grid, cubic_spline_evaluator(raw)(y - x0 * math.sin(phi) * math.tan(phi))
+    )
+    squeezed = cubic_spline_evaluator(shifted)(y / c) / math.sqrt(c)
+    expected = q.WaveFunction.normalized(grid, squeezed)
+    assert np.array_equal(staged.amplitudes.view(np.uint64), expected.amplitudes.view(np.uint64))
+
+
 # --- conditional output (closed form) ----------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Grids, Gaussian/cat constructors, overlaps, densities, photon bookkeeping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,17 +221,18 @@ def bits(values):
     return np.ascontiguousarray(values).view(np.uint64)
 
 
-def fitted_coefficients(x, y):
+def fitted_coefficients(grid, y):
     """(4, n - 1, ...) coefficients, highest power first, from the in-repo fit."""
-    s, slope = q.grids._spline_slopes(x, y)
-    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    s, slope = q.grids._spline_slopes(grid, y)
+    h = np.diff(grid.points).reshape((-1,) + (1,) * (y.ndim - 1))
     return np.stack(q.grids._hermite_coefficients(h, y[:-1], s[:-1], s[1:], slope))
 
 
 @pytest.mark.parametrize("n", [64, 257, 2048, 8192])
 @pytest.mark.parametrize("kind", ["cat", "chirped", "random"])
 def test_spline_fit_matches_cubic_spline_coefficients_bitwise(n, kind):
-    x = q.Grid(-7.3, 6.1, n).points
+    grid = q.Grid(-7.3, 6.1, n)
+    x = grid.points
     if kind == "random":
         rng = np.random.default_rng(n)
         y = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -240,34 +242,124 @@ def test_spline_fit_matches_cubic_spline_coefficients_bitwise(n, kind):
         assert np.signbit(y[0]) and y[0] == 0.0
         y = y * np.exp(1j * 1.3 * x) if kind == "chirped" else y.astype(np.complex128)
     expected = CubicSpline(x, y).c
-    assert np.array_equal(bits(fitted_coefficients(x, y)), bits(expected))
+    assert np.array_equal(bits(fitted_coefficients(grid, y)), bits(expected))
+
+
+@given(
+    x_min=st.floats(-20.0, 20.0),
+    width=st.floats(0.1, 60.0),
+    n=st.integers(16, 4096),  # 16: the Grid minimum
+    tails=st.tuples(st.floats(0.0, 0.4), st.floats(0.0, 0.4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_spline_fit_matches_cubic_spline_bitwise_on_any_uniform_grid(
+    x_min, width, n, tails, seed
+):
+    # the cached band factors are zgtsv's elimination only if no row is interchanged
+    grid = q.Grid(x_min, x_min + width, n)
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=n) + 1j * rng.normal(size=n)
+    head, tail = round(tails[0] * n), round(tails[1] * n)
+    y[:head] = y[n - tail :] = complex(-0.0, -0.0)
+    expected = CubicSpline(grid.points, y).c
+    assert np.array_equal(bits(fitted_coefficients(grid, y)), bits(expected))
 
 
 @pytest.mark.skipif(
-    _lapack._ZGTSV is None, reason="numpy bundles no OpenBLAS here: scipy's zgtsv is the one path"
+    _lapack._ZGTTRF is None or _lapack._ZGTTRS is None,
+    reason="numpy bundles no OpenBLAS here: scipy's zgttrf and zgttrs are the one path",
 )
 @pytest.mark.parametrize("n", [64, 257, 2048, 8192])
 @pytest.mark.parametrize("nrhs", [1, 3, 85])
 def test_spline_fit_is_bitwise_equal_on_the_bundled_and_scipy_zgtsv(monkeypatch, n, nrhs):
+    # bundled zgttrf + zgttrs against scipy's zgttrf + zgttrs, and against the zgtsv
+    # solve inside CubicSpline (its c[2] holds the knot derivatives)
     rng = np.random.default_rng(n + nrhs)
-    x = q.Grid(-7.3, 6.1, n).points
     block = rng.normal(size=(nrhs, n)) + 1j * rng.normal(size=(nrhs, n))  # C-ordered rows
     # 1-D; the transposed row block conditioned_on_mode2 passes; C-ordered columns
     curves = [block[0], block.T, np.ascontiguousarray(block.T)]
-    bundled = [q.grids._spline_slopes(x, y) for y in curves]
-    monkeypatch.setattr(_lapack, "_ZGTSV", None)  # what a numpy without numpy.libs resolves
+    bundled = [q.grids._spline_slopes(q.Grid(-7.3, 6.1, n), y) for y in curves]
+    x = q.Grid(-7.3, 6.1, n).points
     for y, (s, _) in zip(curves, bundled):
-        s_scipy, _ = q.grids._spline_slopes(x, y)
+        assert np.array_equal(bits(s[:-1]), bits(CubicSpline(x, y).c[2]))
+    # what a numpy without numpy.libs resolves
+    monkeypatch.setattr(_lapack, "_ZGTTRF", None)
+    monkeypatch.setattr(_lapack, "_ZGTTRS", None)
+    for y, (s, _) in zip(curves, bundled):
+        # a fresh grid: its band is factored by scipy's zgttrf too
+        s_scipy, _ = q.grids._spline_slopes(q.Grid(-7.3, 6.1, n), y)
         assert s.shape == s_scipy.shape == y.shape
         assert np.array_equal(bits(s), bits(s_scipy))
 
 
+@pytest.mark.skipif(_lapack._ZGTTRS is None, reason="numpy bundles no OpenBLAS here")
+def test_zgttrs_refuses_what_it_cannot_pass_as_pointers():
+    band = q.Grid(-3.0, 4.0, 100)._spline_band
+    rhs = np.zeros((100, 1), dtype=complex)
+    bad = [
+        (band.factors[::2], band.ipiv, rhs),  # strided factors
+        (band.factors.real.copy(), band.ipiv, rhs),  # real factors
+        (band.factors, band.ipiv.astype(np.int32), rhs),  # 32-bit pivots
+        (band.factors[:-1], band.ipiv, rhs),  # factors of no n-row band
+        (band.factors, band.ipiv, rhs[:-1]),  # rhs of n - 1 rows
+    ]
+    for args in bad:
+        with pytest.raises(ValueError, match="zgttrs needs"):
+            _lapack.zgttrs(*args)
+
+
 def test_multi_column_fit_matches_cubic_spline_along_axis_1_bitwise():
     rng = np.random.default_rng(11)
-    x = q.Grid(-3.0, 4.0, 300).points
+    grid = q.Grid(-3.0, 4.0, 300)
     rows = rng.normal(size=(200, 300)) + 1j * rng.normal(size=(200, 300))
-    expected = CubicSpline(x, rows, axis=1).c  # (4, 299, 200)
-    assert np.array_equal(bits(fitted_coefficients(x, rows.T)), bits(expected))
+    expected = CubicSpline(grid.points, rows, axis=1).c  # (4, 299, 200)
+    assert np.array_equal(bits(fitted_coefficients(grid, rows.T)), bits(expected))
+
+
+def test_spline_band_is_factored_once_per_grid(monkeypatch):
+    factored = []
+    zgttrf = _lapack.zgttrf
+    monkeypatch.setattr(_lapack, "zgttrf", lambda *band: factored.append(1) or zgttrf(*band))
+    grid = q.Grid(-6.0, 6.0, 512)
+    amps = q.build_gaussian(VACUUM, grid).amplitudes
+    for _ in range(200):
+        q.grids.amplitude_interpolator(q.WaveFunction(grid, amps))
+    assert len(factored) == 1
+    for count in (2, 3):
+        equal = q.Grid(-6.0, 6.0, 512)
+        assert equal == grid
+        q.grids.amplitude_interpolator(q.WaveFunction(equal, amps))
+        assert len(factored) == count
+
+
+def test_repeated_spline_fits_do_not_grow_memory():
+    grid = q.Grid(-12.0, 12.0, 2048)
+    amps = q.build_cat(1.8, 0.2025, grid).amplitudes
+
+    def fit(k, fresh_grids=False):
+        for i in range(k):
+            on = q.Grid(-12.0, 12.0 + i, 2048) if fresh_grids else grid
+            q.grids.amplitude_interpolator(q.WaveFunction(on, amps))
+
+    fit(10)
+    tracemalloc.start()
+    try:
+        fit(10, fresh_grids=True)
+        base = tracemalloc.get_traced_memory()[0]
+        fit(1000)
+        fit(100, fresh_grids=True)  # each grid's band goes with the grid
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # one fitted spline's real tables alone hold 4 x 2049 x 8 B = 64 KiB
+    assert grown < 32 * 1024
+
+
+def test_singular_spline_band_names_zgttrf():
+    grid = q.Grid(1e16, 1e16 + 2, 16)  # knots that round onto one another: dx = 0
+    with pytest.raises(InvalidParameterError, match=r"singular \(zgttrf info \d+\)"):
+        q.grids.amplitude_interpolator(q.WaveFunction(grid, np.ones(16, dtype=complex)))
 
 
 def test_grid_policy_halfspan_override():
