@@ -6,7 +6,8 @@ t = tan phi) and an inferred outcome x0:
 
   joint state      A(y1, y2) = psi_s(y1 c - y2 s) psi_p(y1 s + y2 c)
   outcome density  p(x0) = t * int |psi_s(y)|^2 |psi_p(t (y - x0))|^2 dy
-  conditioning     phi_x0(y)  ~ psi_s(y c + x0 s^2) psi_p(y s - x0 c s)
+  conditioning     phi_x0(y)  ~ psi_s(y c + x0 s^2) psi_p(y s - x0 c s),
+                   p(x0) = s * sum_y w |phi_x0|^2 before renormalizing
   displacement     by d = x0 s t
   squeezing        axis rescale by c, i.e. psi(y) -> psi(y / c) / sqrt(c)
   net effect       psi_x0(x) ~ psi_s(x) psi_p((x - x0) t)
@@ -44,7 +45,7 @@ OUTCOME_SPAN_SIGMAS = 8.0
 
 def check_phase(phi: float) -> None:
     """Reject phases where either interferometer port coupling degenerates."""
-    if not (math.sin(phi) > PHASE_MARGIN and math.cos(phi) > PHASE_MARGIN):
+    if not (math.isfinite(phi) and math.sin(phi) > PHASE_MARGIN and math.cos(phi) > PHASE_MARGIN):
         raise DegeneratePhaseError(
             f"phi={phi} is degenerate: need sin(phi) > {PHASE_MARGIN} and "
             f"cos(phi) > {PHASE_MARGIN}, i.e. phi strictly inside (0, pi/2)"
@@ -132,13 +133,6 @@ def make_outcome(dist: Distribution, x0: float, phi: float) -> Outcome:
     check_phase(phi)
     dens = float(np.interp(x0, dist.grid.points, dist.density, left=0.0, right=0.0))
     return Outcome(x0=float(x0), raw_X=-float(x0) * math.sin(phi), density_at_x0=dens)
-
-
-def _support_bounds(wf: WaveFunction) -> tuple[float, float]:
-    """Interval where |amplitude| exceeds SUPPORT_CUTOFF times the peak."""
-    mag = np.abs(wf.amplitudes)
-    idx = np.nonzero(mag >= SUPPORT_CUTOFF * mag.max())[0]
-    return float(wf.grid.points[idx[0]]), float(wf.grid.points[idx[-1]])
 
 
 def beam_splitter_transform(
@@ -253,19 +247,30 @@ def homodyne_distribution(
     return Distribution.normalized(ogrid, p_raw)
 
 
-def _filtered_outcome(
-    signal: WaveFunction, probe: WaveFunction, phi: float, x0: float
-) -> np.ndarray:
-    """Unnormalized psi_s(y) K(x0, y) on the signal grid; raises if p(x0) is null."""
-    t = math.tan(phi)
-    p_eval = amplitude_interpolator(probe)
-    vals = signal.amplitudes * p_eval(t * (signal.grid.points - x0))
-    p_x0 = t * float(signal.grid.weights @ np.abs(vals) ** 2)
+def _conditioned(grid: Grid, vals: np.ndarray, jacobian: float, x0: float) -> WaveFunction:
+    """vals renormalized on grid; refuses when p(x0) = jacobian * sum w |vals|^2 is null."""
+    p_x0 = jacobian * float(grid.weights @ np.abs(vals) ** 2)
     if p_x0 <= NULL_OUTCOME_DENSITY:
         raise NullOutcomeError(
             f"outcome density p(x0)={p_x0:.3e} at x0={x0} is below {NULL_OUTCOME_DENSITY}"
         )
-    return vals
+    return WaveFunction.normalized(grid, vals)
+
+
+def _moved(state: WaveFunction, scale: float, shift: float, what: str) -> WaveFunction:
+    """psi((y - shift) / scale) / sqrt(scale) on the state's grid, renormalized; refuses when
+    the moved support (|amplitude| >= SUPPORT_CUTOFF times the peak) leaves the grid."""
+    mag = np.abs(state.amplitudes)
+    idx = np.nonzero(mag >= SUPPORT_CUTOFF * mag.max())[0]
+    lo, hi = (float(state.grid.points[i]) * scale + shift for i in (idx[0], idx[-1]))
+    if not state.grid.covers(lo, hi):
+        raise GridTooNarrowError(
+            f"{what} support [{lo}, {hi}] leaves the grid "
+            f"[{state.grid.x_min}, {state.grid.x_max}]"
+        )
+    evaluate = amplitude_interpolator(state)
+    vals = evaluate((state.grid.points - shift) / scale) / math.sqrt(scale)
+    return WaveFunction.normalized(state.grid, vals)
 
 
 def conditional_state_raw(
@@ -278,31 +283,25 @@ def conditional_state_raw(
     """Kept-mode state right after the mode-2 projection, before any feedback.
 
     phi_x0(y) ~ psi_s(y cos phi + x0 sin^2 phi) psi_p(y sin phi - x0 cos phi sin phi),
-    renormalized on the target grid (the signal grid unless one is given).
+    renormalized on the target grid (the signal grid unless one is given).  With
+    u = y cos phi + x0 sin^2 phi the probe factor is psi_p(tan phi (u - x0)) and
+    dy = du / cos phi, so p(x0) = sin phi sum w |phi_x0|^2 on the target grid; a null
+    p(x0) raises NullOutcomeError.
     """
     check_phase(phi)
-    _filtered_outcome(signal, probe, phi, x0)
     c, s = math.cos(phi), math.sin(phi)
     grid = out_grid or signal.grid
     y = grid.points
     s_eval = amplitude_interpolator(signal)
     p_eval = amplitude_interpolator(probe)
     vals = s_eval(y * c + x0 * s * s) * p_eval(y * s - x0 * c * s)
-    return WaveFunction.normalized(grid, vals)
+    return _conditioned(grid, vals, s, x0)
 
 
 def feedback_displace(state: WaveFunction, x0: float, phi: float) -> WaveFunction:
     """Shift the state by d = x0 sin(phi) tan(phi) along the quadrature axis."""
     check_phase(phi)
-    d = x0 * math.sin(phi) * math.tan(phi)
-    lo, hi = _support_bounds(state)
-    if not state.grid.covers(lo + d, hi + d):
-        raise GridTooNarrowError(
-            f"displaced support [{lo + d}, {hi + d}] leaves the grid "
-            f"[{state.grid.x_min}, {state.grid.x_max}]; the displaced support must fit the grid"
-        )
-    evaluate = amplitude_interpolator(state)
-    return WaveFunction.normalized(state.grid, evaluate(state.grid.points - d))
+    return _moved(state, 1.0, x0 * math.sin(phi) * math.tan(phi), "displaced")
 
 
 def output_squeeze(state: WaveFunction, phi: float) -> WaveFunction:
@@ -313,16 +312,7 @@ def output_squeeze(state: WaveFunction, phi: float) -> WaveFunction:
     renormalized after interpolation.
     """
     check_phase(phi)
-    c = math.cos(phi)
-    lo, hi = _support_bounds(state)
-    if not state.grid.covers(lo * c, hi * c):
-        raise GridTooNarrowError(
-            f"rescaled support [{lo * c}, {hi * c}] leaves the grid "
-            f"[{state.grid.x_min}, {state.grid.x_max}]"
-        )
-    evaluate = amplitude_interpolator(state)
-    vals = evaluate(state.grid.points / c) / math.sqrt(c)
-    return WaveFunction.normalized(state.grid, vals)
+    return _moved(state, math.cos(phi), 0.0, "rescaled")
 
 
 def conditional_output(
@@ -331,10 +321,12 @@ def conditional_output(
     """Closed-form conditional output psi_x0(x) ~ psi_s(x) psi_p((x - x0) tan phi).
 
     Equals the three-stage pipeline (conditioning, displacement, squeezing)
-    and lives on the signal grid.
+    and lives on the signal grid; p(x0) = tan phi sum w |psi_x0|^2 before renormalizing.
     """
     check_phase(phi)
-    return WaveFunction.normalized(signal.grid, _filtered_outcome(signal, probe, phi, x0))
+    t = math.tan(phi)
+    vals = signal.amplitudes * amplitude_interpolator(probe)(t * (signal.grid.points - x0))
+    return _conditioned(signal.grid, vals, t, x0)
 
 
 def sample_outcomes(dist: Distribution, count: int, seed: int) -> np.ndarray:

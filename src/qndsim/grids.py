@@ -273,20 +273,16 @@ def _extent(spec: StateSpec) -> tuple[float, float, float]:
 
 def auto_grid(specs: Iterable[StateSpec], n_points: int = DEFAULT_GRID_POINTS) -> Grid:
     """Grid covering every spec's centers plus DEFAULT_SPAN_SIGMAS of the widest state."""
-    specs = list(specs)
-    if not specs:
-        raise InvalidParameterError("auto_grid needs at least one state spec")
-    los, his, sigmas = zip(*(_extent(s) for s in specs))
-    pad = DEFAULT_SPAN_SIGMAS * max(sigmas)
-    return Grid(min(los) - pad, max(his) + pad, n_points)
+    return GridPolicy(n_points).grid_for(specs)
 
 
 @dataclass(frozen=True)
 class GridPolicy:
     """How grids are sized when the caller does not supply one.
 
-    halfspan, when set, overrides the sigma-based span and centers the grid
-    on the midpoint of the states' centers.
+    By default the grid covers every spec's centers plus DEFAULT_SPAN_SIGMAS of
+    the widest state; halfspan, when set, overrides that span and centers the
+    grid on the midpoint of the states' centers.
     """
 
     n_points: int = DEFAULT_GRID_POINTS
@@ -294,11 +290,12 @@ class GridPolicy:
 
     def grid_for(self, specs: Iterable[StateSpec]) -> Grid:
         specs = list(specs)
-        if self.halfspan is None:
-            return auto_grid(specs, self.n_points)
         if not specs:
-            raise InvalidParameterError("grid policy needs at least one state spec")
-        los, his, _ = zip(*(_extent(s) for s in specs))
+            raise InvalidParameterError("a grid needs at least one state spec")
+        los, his, sigmas = zip(*(_extent(s) for s in specs))
+        if self.halfspan is None:
+            pad = DEFAULT_SPAN_SIGMAS * max(sigmas)
+            return Grid(min(los) - pad, max(his) + pad, self.n_points)
         center = 0.5 * (min(los) + max(his))
         return Grid(center - self.halfspan, center + self.halfspan, self.n_points)
 

@@ -79,9 +79,10 @@ def maximize_trade_off(
     if not lo < hi:
         raise BracketError(f"invalid bracket [{lo}, {hi}]: need lo < hi")
     resolvable = 64.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
-    if not tol >= resolvable:
+    if not resolvable <= tol < math.inf:
         raise InvalidParameterError(
-            f"tolerance {tol} is below {resolvable:.3g}, the float resolution on [{lo}, {hi}]"
+            f"tolerance {tol} must be finite and at least {resolvable:.3g}, the float "
+            f"resolution on [{lo}, {hi}]"
         )
     xs = np.linspace(lo, hi, COARSE_SCAN_POINTS)
     vals = np.array([objective(float(x)) for x in xs], dtype=np.float64)
@@ -142,8 +143,8 @@ def equal_fidelity_point(lo: float, hi: float, tol: float) -> float:
     """Bisection root of the closed-form F - G, stopping at |F - G| < tol."""
     if not lo < hi:
         raise BracketError(f"invalid bracket [{lo}, {hi}]: need lo < hi")
-    if not tol > 0:
-        raise InvalidParameterError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise InvalidParameterError(f"tolerance must be positive and finite, got {tol}")
     return _bisect(
         lambda x: gaussian_state_fidelity(x) - gaussian_distribution_fidelity(x), lo, hi, tol
     )

@@ -254,7 +254,7 @@ def test_zero_outcome_nodes_raises_instead_of_taking_the_default(route):
 def test_homodyne_degenerate_phase():
     grid = q.auto_grid([VACUUM])
     vac = build(VACUUM, grid)
-    for phi in (0.0, math.pi / 2, 1.6, -0.3):
+    for phi in (0.0, math.pi / 2, 1.6, -0.3, math.inf, -math.inf):
         with pytest.raises(DegeneratePhaseError):
             q.homodyne_distribution(vac, vac, phi)
 
@@ -345,6 +345,18 @@ def test_conditional_raw_null_outcome():
         q.conditional_state_raw(signal, probe, QUARTER_PI, 10.0)
 
 
+def test_raw_and_closed_form_refuse_the_same_null_outcome():
+    # the raw stage reads p(x0) = sin(phi) sum w |phi_x0|^2 off its own values, which equals
+    # the closed form's tan(phi) sum w |psi_s K|^2; with tan(phi) it would read 1.74e-12
+    vac = build(VACUUM, q.auto_grid([VACUUM]))
+    reported = []
+    for stage in (q.conditional_output, q.conditional_state_raw):
+        with pytest.raises(NullOutcomeError) as err:
+            stage(vac, vac, 1.2, 4.0)
+        reported.append(re.search(r"p\(x0\)=(\S+) at x0=4.0", str(err.value)).group(1))
+    assert reported == ["6.291e-13", "6.291e-13"]
+
+
 # --- feedback displacement ---------------------------------------------------
 
 
@@ -397,6 +409,13 @@ def test_squeeze_near_zero_phase_is_identity():
     vac = build(VACUUM, grid)
     out = q.output_squeeze(vac, 1e-4)
     assert l2_distance(out, vac) < 1e-6
+
+
+def test_squeeze_rejects_support_leaving_grid():
+    spec = q.GaussianSpec(5.0, 0.1)
+    wf = build(spec, q.Grid(1.0, 9.0, 512))
+    with pytest.raises(GridTooNarrowError, match=r"rescaled support \[0\.833\d*, 2\.790\d*\]"):
+        q.output_squeeze(wf, 1.2)
 
 
 def test_squeeze_scales_variance_by_cos_squared():

@@ -87,6 +87,7 @@ def test_chain_degenerate_phase_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ["--phi", "1.6", "--probe-var", "0.25", "--outcome", "0.0"],  # degenerate phase
     [*GAUSSIAN_FLAGS, "--outcome", "50"],  # null outcome, raised after p is computed
+    ["--phi", "inf", "--probe-var", "0.25", "--outcome", "0.0"],  # sin(inf) is undefined
 ])
 def test_chain_domain_error_writes_nothing(tmp_path, flags):
     out = tmp_path / "bad"
@@ -403,10 +404,11 @@ def test_closed_sweep_keeps_f_at_most_one_for_large_x(tmp_path):
 
 
 def test_optimize_unresolvable_tolerance_exits_3(tmp_path, capsys):
-    code = main(["optimize", "--mode", "closed", "--tol", "1e-20",
-                 "--out", str(tmp_path / "tiny")])
-    assert code == 3
-    assert "tolerance" in capsys.readouterr().err
+    for tol in ("1e-20", "inf"):
+        out = tmp_path / f"tol-{tol}"
+        assert main(["optimize", "--mode", "closed", "--tol", tol, "--out", str(out)]) == 3
+        assert "tolerance" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("tol_flag, tol_config, tolerance", [

@@ -88,6 +88,8 @@ def test_maximize_brackets_and_objective_errors():
 def test_maximize_rejects_tolerance_below_float_resolution():
     with pytest.raises(InvalidParameterError, match="tolerance"):
         q.maximize_trade_off(closed_sum, 0.05, 20.0, 1e-20)
+    with pytest.raises(InvalidParameterError, match="tolerance inf"):
+        q.maximize_trade_off(closed_sum, 0.05, 20.0, math.inf)
     finest = 64.0 * sys.float_info.epsilon * 20.0
     x_m, _ = q.maximize_trade_off(closed_sum, 0.05, 20.0, finest)  # terminates
     assert abs(x_m - X_M_REFINED) < 1e-6
@@ -128,6 +130,8 @@ def test_equal_fidelity_point_bracket_errors():
         q.equal_fidelity_point(2.0, 1.0, 1e-6)
     with pytest.raises(NoSignChangeError):
         q.equal_fidelity_point(2.0, 3.0, 1e-6)
+    with pytest.raises(InvalidParameterError, match="tolerance"):
+        q.equal_fidelity_point(0.5, 3.0, math.inf)  # would return the first midpoint, 1.75
 
 
 def test_bisection_that_cannot_reach_tolerance_raises():
