@@ -286,7 +286,8 @@ def conditional_state_raw(
     renormalized on the target grid (the signal grid unless one is given).  With
     u = y cos phi + x0 sin^2 phi the probe factor is psi_p(tan phi (u - x0)) and
     dy = du / cos phi, so p(x0) = sin phi sum w |phi_x0|^2 on the target grid; a null
-    p(x0) raises NullOutcomeError.
+    p(x0) raises NullOutcomeError.  A state the target grid cuts off (an edge amplitude of
+    at least SUPPORT_CUTOFF times the peak) raises GridTooNarrowError.
     """
     check_phase(phi)
     c, s = math.cos(phi), math.sin(phi)
@@ -295,7 +296,13 @@ def conditional_state_raw(
     s_eval = amplitude_interpolator(signal)
     p_eval = amplitude_interpolator(probe)
     vals = s_eval(y * c + x0 * s * s) * p_eval(y * s - x0 * c * s)
-    return _conditioned(grid, vals, s, x0)
+    state = _conditioned(grid, vals, s, x0)
+    if state.edge_leak() >= SUPPORT_CUTOFF:
+        raise GridTooNarrowError(
+            f"conditioned state at x0={x0} is cut off by the grid [{grid.x_min}, {grid.x_max}]: "
+            f"its edge amplitude is {state.edge_leak():.3e} of its peak"
+        )
+    return state
 
 
 def feedback_displace(state: WaveFunction, x0: float, phi: float) -> WaveFunction:

@@ -172,18 +172,11 @@ def gaussian_distribution_fidelity(x: float) -> float:
 
 
 def transfer_function(y1, y2, phi: float, sigma_p: float):
-    """Gaussian-probe transfer kernel exp(-tan^2 phi (y1 - y2)^2 / (8 sigma_p^2)).
-
-    Built in place in the one array of y1 - y2, in the order of that expression.
-    """
+    """Gaussian-probe transfer kernel exp(-tan^2 phi (y1 - y2)^2 / (8 sigma_p^2))."""
     if sigma_p <= 0:
         raise InvalidParameterError(f"probe width sigma_p must be positive, got {sigma_p}")
-    y1, y2 = np.asarray(y1, dtype=np.float64), np.asarray(y2, dtype=np.float64)
-    kernel = np.subtract(y1, y2, out=np.empty(np.broadcast(y1, y2).shape))
-    np.square(kernel, out=kernel)
-    kernel *= -(math.tan(phi) ** 2)
-    kernel /= 8.0 * sigma_p**2
-    return np.exp(kernel, out=kernel)[()]  # [()]: a scalar for scalar inputs
+    diff = np.asarray(y1, dtype=np.float64) - np.asarray(y2, dtype=np.float64)
+    return np.exp(-(math.tan(phi) ** 2) * diff**2 / (8.0 * sigma_p**2))
 
 
 def state_fidelity_via_transfer(signal: WaveFunction, phi: float, sigma_p: float) -> float:

@@ -76,9 +76,10 @@ class Grid:
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Mean and variance of a Gaussian quadrature density.
+    """Mean and variance of a Gaussian quadrature density; both finite, the variance > 0.
 
-    variance = 1/4 is the vacuum; smaller is squeezed, larger anti-squeezed.
+    variance = 1/4 is the vacuum; smaller is squeezed, larger anti-squeezed.  The
+    unnormalized amplitude is (2 pi v)^(-1/4) exp(-(x - mean)^2 / (4 v)).
     """
 
     kind: ClassVar[str] = "gaussian"
@@ -86,35 +87,58 @@ class GaussianSpec:
     variance: float
 
     def __post_init__(self) -> None:
-        if not self.variance > 0:
-            raise InvalidParameterError(f"variance must be positive, got {self.variance}")
+        if not math.isfinite(self.mean):
+            raise InvalidParameterError(f"mean must be finite, got {self.mean}")
+        if not 0 < self.variance < math.inf:
+            raise InvalidParameterError(f"variance must be finite and > 0, got {self.variance}")
 
     @property
     def sigma(self) -> float:
         return math.sqrt(self.variance)
 
+    def _extent(self) -> tuple[float, float, float]:
+        return self.mean, self.mean, self.sigma
+
+    def _amplitude(self, x: np.ndarray) -> np.ndarray:
+        v = self.variance
+        return (2 * math.pi * v) ** -0.25 * np.exp(-((x - self.mean) ** 2) / (4 * v))
+
 
 @dataclass(frozen=True)
 class CatSpec:
-    """Even superposition of two Gaussians centered at +/- separation."""
+    """Even superposition of two Gaussians centered at +/- separation, each of density
+    variance v: amplitude exp(-(x - a)^2 / (4 v)) + exp(-(x + a)^2 / (4 v)), unnormalized.
+    Both fields are finite, the separation >= 0 and v > 0.
+    """
 
     kind: ClassVar[str] = "cat"
     separation: float
     component_variance: float
 
     def __post_init__(self) -> None:
-        if not self.component_variance > 0:
+        if not 0 < self.component_variance < math.inf:
             raise InvalidParameterError(
-                f"component variance must be positive, got {self.component_variance}"
+                f"component variance must be finite and > 0, got {self.component_variance}"
             )
-        if self.separation < 0:
-            raise InvalidParameterError(f"separation must be >= 0, got {self.separation}")
+        if not 0 <= self.separation < math.inf:
+            raise InvalidParameterError(
+                f"separation must be finite and >= 0, got {self.separation}"
+            )
 
     @property
     def sigma(self) -> float:
         return math.sqrt(self.component_variance)
 
+    def _extent(self) -> tuple[float, float, float]:
+        return -self.separation, self.separation, self.sigma
 
+    def _amplitude(self, x: np.ndarray) -> np.ndarray:
+        a, v = self.separation, self.component_variance
+        return np.exp(-((x - a) ** 2) / (4 * v)) + np.exp(-((x + a) ** 2) / (4 * v))
+
+
+# A spec's _extent() is (lowest center, highest center, component width) and its
+# _amplitude(x) the unnormalized wavefunction: all that build_state and GridPolicy read.
 StateSpec = Union[GaussianSpec, CatSpec]
 
 
@@ -192,51 +216,28 @@ class Distribution:
         return float(self.grid.weights @ ((self.grid.points - m) ** 2 * self.density))
 
 
-def _require_cover(grid: Grid, lo: float, hi: float, what: str) -> None:
+def build_state(spec: StateSpec, grid: Grid) -> WaveFunction:
+    """The spec's wavefunction on the grid, renormalized: the one state builder.  The grid
+    must cover the spec's centers +/- 8 component widths, else GridTooNarrowError."""
+    lowest, highest, width = spec._extent()
+    lo, hi = lowest - 8 * width, highest + 8 * width
     if not grid.covers(lo, hi):
         raise GridTooNarrowError(
-            f"grid [{grid.x_min}, {grid.x_max}] does not cover the {what} support "
+            f"grid [{grid.x_min}, {grid.x_max}] does not cover the {spec.kind} support "
             f"[{lo}, {hi}]"
         )
+    return WaveFunction.normalized(grid, spec._amplitude(grid.points))
 
 
 def build_gaussian(spec: GaussianSpec, grid: Grid) -> WaveFunction:
-    """Gaussian wavefunction (2 pi v)^(-1/4) exp(-(x - m)^2 / (4 v)), renormalized.
-
-    Its quadrature density is the normal density with the spec's mean and
-    variance.  The grid must cover mean +/- 8 standard deviations.
-    """
-    _require_cover(grid, spec.mean - 8 * spec.sigma, spec.mean + 8 * spec.sigma, "gaussian")
-    x = grid.points
-    amp = (2 * math.pi * spec.variance) ** -0.25 * np.exp(
-        -((x - spec.mean) ** 2) / (4 * spec.variance)
-    )
-    return WaveFunction.normalized(grid, amp)
+    """Gaussian wavefunction whose quadrature density is the normal density with the
+    spec's mean and variance: `build_state` of the spec."""
+    return build_state(spec, grid)
 
 
 def build_cat(separation: float, component_variance: float, grid: Grid) -> WaveFunction:
-    """Normalized even superposition of two Gaussians at +/- separation."""
-    spec = CatSpec(separation, component_variance)
-    _require_cover(
-        grid,
-        -spec.separation - 8 * spec.sigma,
-        spec.separation + 8 * spec.sigma,
-        "cat",
-    )
-    x = grid.points
-    v = spec.component_variance
-    amp = np.exp(-((x - spec.separation) ** 2) / (4 * v)) + np.exp(
-        -((x + spec.separation) ** 2) / (4 * v)
-    )
-    return WaveFunction.normalized(grid, amp)
-
-
-def build_state(spec: StateSpec, grid: Grid) -> WaveFunction:
-    if isinstance(spec, GaussianSpec):
-        return build_gaussian(spec, grid)
-    if isinstance(spec, CatSpec):
-        return build_cat(spec.separation, spec.component_variance, grid)
-    raise InvalidParameterError(f"unknown state spec {spec!r}")
+    """Even superposition of two Gaussians at +/- separation: `build_state` of its CatSpec."""
+    return build_state(CatSpec(separation, component_variance), grid)
 
 
 def overlap(a: WaveFunction, b: WaveFunction) -> complex:
@@ -265,12 +266,6 @@ def photon_number_paper(sigma2: float) -> float:
     return (sigma2 + 1.0 / sigma2 - 2.0) / 4.0
 
 
-def _extent(spec: StateSpec) -> tuple[float, float, float]:
-    if isinstance(spec, GaussianSpec):
-        return spec.mean, spec.mean, spec.sigma
-    return -spec.separation, spec.separation, spec.sigma
-
-
 def auto_grid(specs: Iterable[StateSpec], n_points: int = DEFAULT_GRID_POINTS) -> Grid:
     """Grid covering every spec's centers plus DEFAULT_SPAN_SIGMAS of the widest state."""
     return GridPolicy(n_points).grid_for(specs)
@@ -292,7 +287,7 @@ class GridPolicy:
         specs = list(specs)
         if not specs:
             raise InvalidParameterError("a grid needs at least one state spec")
-        los, his, sigmas = zip(*(_extent(s) for s in specs))
+        los, his, sigmas = zip(*(s._extent() for s in specs))
         if self.halfspan is None:
             pad = DEFAULT_SPAN_SIGMAS * max(sigmas)
             return Grid(min(los) - pad, max(his) + pad, self.n_points)

@@ -152,7 +152,7 @@ def equal_fidelity_point(lo: float, hi: float, tol: float) -> float:
 
 def tune_phase(sigma_s: float, sigma_p: float, x_target: float) -> float:
     """Phase realizing x_target = sigma_p / (sigma_s tan phi) for fixed widths."""
-    if sigma_s <= 0 or sigma_p <= 0 or x_target <= 0:
+    if not (sigma_s > 0 and sigma_p > 0 and x_target > 0):  # NaN fails too
         raise InvalidParameterError(
             f"sigma_s, sigma_p and x_target must be positive, got "
             f"({sigma_s}, {sigma_p}, {x_target})"

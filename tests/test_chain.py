@@ -357,6 +357,16 @@ def test_raw_and_closed_form_refuse_the_same_null_outcome():
     assert reported == ["6.291e-13", "6.291e-13"]
 
 
+def test_conditional_raw_refuses_state_cut_off_by_its_grid():
+    # the signal factor centers near y = 8, past auto_grid's [-4.7, 5.3]: unchecked, the
+    # renormalized raw state's last amplitude is 4.8% of its peak
+    spec, probe_spec = q.GaussianSpec(0.3, 0.25), q.GaussianSpec(0.0, 1.0)
+    signal = build(spec, q.auto_grid([spec]))
+    probe = build(probe_spec, q.auto_grid([probe_spec]))
+    with pytest.raises(GridTooNarrowError, match=r"x0=-3\.0 is cut off .* 4\.763e-02 of its peak"):
+        q.conditional_state_raw(signal, probe, 1.2, -3.0)
+
+
 # --- feedback displacement ---------------------------------------------------
 
 

@@ -295,8 +295,11 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["chain", "--phi", "0.7", "--probe-var", "0.25",
                  "--signal", "ring:1,2", "--outcome", "0.0", "--out", out]) == 2
     assert main(["chain", "--phi", "0.7", "--probe-var", "0.25",
+                 "--signal", "cat:nan,0.2", "--outcome", "0.0", "--out", out]) == 2
+    assert main(["chain", "--phi", "0.7", "--probe-var", "0.25",
                  "--signal", "gaussian:0,0.25", "--outcome", "sample:-3", "--out", out]) == 2
     assert main([]) == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_sweep_closed_values(tmp_path):

@@ -144,7 +144,10 @@ def test_parse_state_spec_round_trips():
     for first, second in ((0.1 + 0.2, 1e-300), (-1e-300, 0.1 + 0.2), (0.0, 5e-324)):
         for spec in (q.GaussianSpec(first, second), q.CatSpec(abs(first), second)):
             assert q.parse_state_spec(format_state_spec(spec)) == spec
-    for bad in ("gaussian", "gaussian:1", "ring:1,2", "gaussian:a,b", "gaussian:1,2,3"):
+    for bad in (
+        "gaussian", "gaussian:1", "ring:1,2", "gaussian:a,b", "gaussian:1,2,3",
+        "cat:nan,0.2", "gaussian:inf,0.25", "gaussian:0,inf", "cat:inf,0.2", "cat:1,inf",
+    ):
         with pytest.raises(InvalidParameterError):
             q.parse_state_spec(bad)
 

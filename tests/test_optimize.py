@@ -159,6 +159,9 @@ def test_tune_phase_round_trip():
 def test_tune_phase_errors():
     with pytest.raises(InvalidParameterError):
         q.tune_phase(0.0, 1.0, 1.0)
+    for args in ((math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)):
+        with pytest.raises(InvalidParameterError, match="must be positive"):
+            q.tune_phase(*args)
     with pytest.raises(DegeneratePhaseError):
         q.tune_phase(1.0, 1.0, 1e7)
 
