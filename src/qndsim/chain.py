@@ -33,6 +33,7 @@ from .grids import (
     SPLINE_CHUNK,
     WaveFunction,
     _hermite_coefficients,
+    _real_parts,
     _spline_slopes,
     amplitude_interpolator,
 )
@@ -81,9 +82,12 @@ class JointWaveFunction:
         """Mode-1 state after a sharp mode-2 projection at the given reading.
 
         Every row of the amplitude matrix is fitted with scipy's not-a-knot spline along
-        mode 2 (`_spline_slopes` on grid2: one multi-column zgttrs solve per row block,
-        against the band grid2 factors once), only the reading's interval is formed, and
-        the resulting slice is renormalized.  The slice equals
+        mode 2, in real arithmetic: each row block's rows are passed as they lie (no
+        transpose) to `_spline_slopes` on grid2 as their real parts, plus their imaginary
+        parts when the block has any, so a block is one dgttrs call with `rows` or
+        2 `rows` right-hand sides against the band grid2 factors once.  Only the
+        reading's interval is formed, part by part, and the resulting slice is
+        renormalized.  The slice equals
         `CubicSpline(grid2.points, A, axis=1)(reading)` bit for bit: the same interval
         (half-open, the last one closed, the end ones extended by the covers() slack)
         and PPoly's sum c3 + c2 s + c1 s^2 + c0 (s^2 s).  A slice of mass
@@ -98,15 +102,18 @@ class JointWaveFunction:
         i = min(max(int(np.searchsorted(knots, reading, side="right")) - 1, 0), knots.size - 2)
         u = reading - knots[i]
         u2 = u * u
-        vals = np.empty(self.grid1.n_points, dtype=np.complex128)
+        inv_h = self.grid2._spline_band.inv_dx[i]
+        vals = np.zeros(self.grid1.n_points, dtype=np.complex128)
         blocks = self._row_blocks()
         for start in blocks:
-            columns = self.amplitudes[start : start + blocks.step].T
-            s, slope = _spline_slopes(self.grid2, columns)
+            rows = _real_parts(self.amplitudes[start : start + blocks.step])
+            s, slope = _spline_slopes(self.grid2, rows)
             c0, c1, c2, c3 = _hermite_coefficients(
-                knots[i + 1] - knots[i], columns[i], s[i], s[i + 1], slope[i]
+                inv_h, rows[..., i], s[..., i], s[..., i + 1], slope[..., i]
             )
-            vals[start : start + blocks.step] = c3 + c2 * u + c1 * u2 + c0 * (u2 * u)
+            parts = c3 + c2 * u + c1 * u2 + c0 * (u2 * u)
+            for target, part in zip((vals.real, vals.imag), parts):
+                target[start : start + blocks.step] = part
         mass = float(self.grid1.weights @ np.abs(vals) ** 2)
         if mass <= NULL_OUTCOME_DENSITY:
             raise NullOutcomeError(

@@ -325,9 +325,10 @@ def format_state_spec(spec: StateSpec) -> str:
 class _SplineBand(NamedTuple):
     """What every spline fit on a grid needs of the grid alone."""
 
-    factors: np.ndarray  # zgttrf's dl, d, du, du2 of the not-a-knot band, back to back
-    ipiv: np.ndarray  # zgttrf's pivot indices
+    factors: np.ndarray  # dgttrf's dl, d, du, du2 of the not-a-knot band, back to back
+    ipiv: np.ndarray  # dgttrf's pivot indices
     dx: np.ndarray  # the knot spacings
+    inv_dx: np.ndarray  # 1 / dx: numpy divides complex by real as a product with it
     # evaluator tables, indexed by k = interval + 1: the knot s is measured from, and the
     # knot that decides between two neighbouring intervals.  k = 0 (below x_min, NaN) and
     # k = n (above x_max) are sentinels: zero coefficients, and s is clamped to 0 there.
@@ -336,7 +337,7 @@ class _SplineBand(NamedTuple):
 
 
 def _factor_spline_band(grid: Grid) -> _SplineBand:
-    """Factor the not-a-knot band of scipy's `CubicSpline` on the grid's knots by zgttrf."""
+    """Factor the not-a-knot band of scipy's `CubicSpline` on the grid's knots by dgttrf."""
     x, n = grid.points, grid.n_points
     dx = np.diff(x)
     # the band: sub-, main and super-diagonal, with the not-a-knot end rows
@@ -346,13 +347,14 @@ def _factor_spline_band(grid: Grid) -> _SplineBand:
     lower[:-1] = dx[1:]
     diag[0], upper[0] = dx[1], x[2] - x[0]
     diag[-1], lower[-1] = dx[-2], x[-1] - x[-3]
-    factors, ipiv, info = _lapack.zgttrf(lower, diag, upper)
+    factors, ipiv, info = _lapack.dgttrf(lower, diag, upper)
     if info:
-        raise InvalidParameterError(f"spline system is singular (zgttrf info {info})")
+        raise InvalidParameterError(f"spline system is singular (dgttrf info {info})")
     band = _SplineBand(
         factors,
         ipiv,
         dx,
+        1.0 / dx,
         np.concatenate(([grid.x_min], x[:-1], [np.inf])),
         np.concatenate(([grid.x_min], x[1:-1], [np.nextafter(grid.x_max, np.inf)], [np.inf])),
     )
@@ -361,39 +363,67 @@ def _factor_spline_band(grid: Grid) -> _SplineBand:
     return band
 
 
+def _real_parts(values: np.ndarray) -> np.ndarray:
+    """The real part of values, and its imaginary part when that is nonzero, stacked on a
+    new first axis: a (1 or 2,) + values.shape float64 array (a view when 1)."""
+    if not np.count_nonzero(values.imag):
+        return values.real[np.newaxis]
+    return np.stack((values.real, values.imag))
+
+
 def _spline_slopes(grid: Grid, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Knot derivatives and secant slopes of the not-a-knot cubic spline through
-    (grid.points, y[i]).
+    (grid.points, y[..., i]), each of y's shape.
 
-    y holds one curve per column (axis 0 runs along the grid).  This is scipy's
-    `CubicSpline(x, y, axis=0)` system, bit for bit: the same band and right-hand side.
+    y is real and holds one curve per row: its last axis runs along the grid, so a
+    C-ordered stack of rows is, to LAPACK, a Fortran-ordered (n, rows) right-hand side.
+    A complex curve is fitted as its real and imaginary parts (`_real_parts`).  This is
+    scipy's complex `CubicSpline(x, y)` system, part by part and bit for bit: the same
+    band and right-hand side.  numpy divides a complex array by a real one as a product
+    with the reciprocal, (a + ib) / d = (a (1/d), b (1/d)), and multiplies it by a real
+    one part by part, so each division by a spacing is a product with `inv_dx`; a real
+    division, as scipy's fit of a real y makes, rounds differently.  The one thing
+    complex arithmetic adds is the other part times a zero, which can flip the sign of
+    a zero where one part is +/-0 and the other is not; the values are equal.
+
     The band depends on the knots alone, so the grid factors it once, at its first fit
-    (LAPACK zgttrf, `Grid._spline_band`), and each call solves all columns by one zgttrs
+    (LAPACK dgttrf, `Grid._spline_band`), and each call solves all rows by one dgttrs
     call against those factors; both come from the OpenBLAS bundled with numpy
-    (`_lapack`).  When no row is interchanged, zgttrf + zgttrs is exactly the
+    (`_lapack`).  When no row is interchanged, dgttrf + dgttrs repeat, part by part, the
     elimination of zgtsv, which `solve_banded((1, 1))` calls for complex y; the band of
     a uniform grid interchanges none (row 0 has |d| = |dl| = h, and later pivots tend to
-    (2 + sqrt 3) h, more than the last row's 2 h).  y must be complex128 (every
-    WaveFunction is): for real y scipy calls dgtsv, whose bits differ.
+    (2 + sqrt 3) h, more than the last row's 2 h).
     """
     band, x, n = grid._spline_band, grid.points, grid.n_points
-    dxr = band.dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
-    slope = np.diff(y, axis=0) / dxr
-    rhs = np.empty_like(y)  # y's memory order: F-ordered columns are solved in place
-    rhs[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    dx = band.dx
+    slope = np.diff(y) * band.inv_dx
+    rhs = np.empty(y.shape)  # C-ordered rows: the Fortran-ordered columns dgttrs solves in place
+    inner = rhs[..., 1:-1]  # 3 (dx[1:] slope[:-1] + dx[:-1] slope[1:]), formed in place
+    np.multiply(dx[1:], slope[..., :-1], out=inner)
+    inner += dx[:-1] * slope[..., 1:]
+    inner *= 3
     d = x[2] - x[0]
-    rhs[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+    rhs[..., 0] = (dx[0] + 2 * d) * dx[1] * slope[..., 0] + dx[0] ** 2 * slope[..., 1]
+    rhs[..., 0] *= 1 / d
     d = x[-1] - x[-3]
-    rhs[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-    derivs = _lapack.zgttrs(band.factors, band.ipiv, rhs.reshape(n, -1))
-    return derivs.reshape(y.shape), slope
+    rhs[..., -1] = dx[-1] ** 2 * slope[..., -2] + (2 * d + dx[-1]) * dx[-2] * slope[..., -1]
+    rhs[..., -1] *= 1 / d
+    derivs = _lapack.dgttrs(band.factors, band.ipiv, rhs.reshape(-1, n).T)
+    return derivs.T.reshape(y.shape), slope
 
 
-def _hermite_coefficients(h, y, s0, s1, slope) -> tuple[np.ndarray, ...]:
-    """Cubic pieces c0 s^3 + c1 s^2 + c2 s + c3 (returned highest power first) of width h,
-    left value y, end derivatives s0, s1 and secant slope: `CubicHermiteSpline`'s formulas."""
-    t = (s0 + s1 - 2 * slope) / h
-    return t / h, (slope - s0) / h - t, s0, y
+def _hermite_coefficients(inv_h, y, s0, s1, slope) -> tuple[np.ndarray, ...]:
+    """Cubic pieces c0 s^3 + c1 s^2 + c2 s + c3 (returned highest power first) of inverse
+    width inv_h, left value y, end derivatives s0, s1 and secant slope, all real:
+    `CubicHermiteSpline`'s formulas, its divisions by the width taken as products with
+    inv_h, as numpy divides a complex array by a real one."""
+    t = s0 + s1  # (s0 + s1 - 2 slope) inv_h, formed in place
+    t -= 2 * slope
+    t *= inv_h
+    c1 = slope - s0  # (slope - s0) inv_h - t
+    c1 *= inv_h
+    c1 -= t
+    return t * inv_h, c1, s0, y
 
 
 def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:
@@ -403,16 +433,17 @@ def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:
     [x_min, x_max], NaN and +/-inf included, give 0.
 
     The spline is scipy's `CubicSpline` (not-a-knot) on the grid, fitted by
-    `_spline_slopes` (one LAPACK zgttrs solve against the band the grid
-    factored once, from numpy's bundled OpenBLAS, no scipy); c3, c2, c1 and c0
-    are written into one zero-padded array and kept as contiguous float tables,
-    indexed as the grid's knot tables.  The values equal `CubicSpline.__call__`
-    bit for bit: the same interval (half-open, the last one closed), the same
-    s = x - knot, and the same sum c3 + c2 s + c1 s^2 + c0 s^3 with
-    s^3 = s^2 s.  Only the interval search is replaced: the knots are
-    uniform, so (x - x_min) / step + 1/2 truncates to one of two neighbouring
-    intervals, and one comparison with the knot between them decides.  The
-    imaginary part is skipped when the spline is real.
+    `_spline_slopes` in real arithmetic: the real part of the amplitudes, and the
+    imaginary part only when it is nonzero, are solved by one LAPACK dgttrs call
+    against the band the grid factored once, from numpy's bundled OpenBLAS, no
+    scipy.  Each part's c3, c2, c1 and c0 are written straight into one
+    zero-padded float table, indexed as the grid's knot tables.  The values equal
+    `CubicSpline.__call__` bit for bit: the same coefficients, the same interval
+    (half-open, the last one closed), the same s = x - knot, and the same sum
+    c3 + c2 s + c1 s^2 + c0 s^3 with s^3 = s^2 s.  Only the interval search is
+    replaced: the knots are uniform, so (x - x_min) / step + 1/2 truncates to
+    one of two neighbouring intervals, and one comparison with the knot between
+    them decides.  A real spline gives an imaginary part of +0.
 
     Coefficients that overflow (a state so narrow that the grid step is near the
     floating-point range, e.g. a probe variance of 1e-300) raise
@@ -424,24 +455,22 @@ def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:
     cached = wf.__dict__.get("_cached_interpolator")
     if cached is not None:
         return cached
-    grid, amps = wf.grid, wf.amplitudes
+    grid, parts = wf.grid, _real_parts(wf.amplitudes)
     band, n = grid._spline_band, grid.n_points
-    # rows c3, c2, c1, c0 (constant term first), indexed as band.lower and band.upper
-    coef = np.zeros((4, n + 1), dtype=np.complex128)
+    # per part, rows c3, c2, c1, c0 (constant term first), indexed as band.lower and upper
+    tables = np.zeros((len(parts), 4, n + 1))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        s, slope = _spline_slopes(grid, amps)
-        pieces = _hermite_coefficients(band.dx, amps[:-1], s[:-1], s[1:], slope)
-        for row, piece in zip(coef[::-1, 1:n], pieces):
-            row[...] = piece
-    if not np.isfinite(coef.view(np.float64)).all():  # float view: half the cost of complex
+        s, slope = _spline_slopes(grid, parts)
+        pieces = _hermite_coefficients(band.inv_dx, parts[:, :-1], s[:, :-1], s[:, 1:], slope)
+        for row, piece in zip(range(3, -1, -1), pieces):
+            tables[:, row, 1:n] = piece
+    if not np.isfinite(tables).all():
         raise InvalidParameterError(
             f"spline coefficients overflow at grid step {grid.step:.3g}: the state is "
             "too narrow for floating point; use a wider state or a coarser grid"
         )
     lo, lower, upper = grid.x_min, band.lower, band.upper
     inv_step = 1.0 / grid.step
-    parts = (coef.real,) if not np.any(coef.imag) else (coef.real, coef.imag)
-    tables = [np.ascontiguousarray(part) for part in parts]  # take() gathers from these
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

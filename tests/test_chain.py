@@ -11,6 +11,7 @@ from scipy.interpolate import CubicSpline
 from scipy.stats import norm
 
 import qndsim as q
+from qndsim import _lapack
 from qndsim.errors import (
     DegeneratePhaseError,
     GridTooNarrowError,
@@ -304,6 +305,42 @@ def test_conditioned_on_mode2_matches_cubic_spline_bitwise(chirp):
 def test_conditioned_on_mode2_row_blocks_match_cubic_spline_bitwise():
     # 768 rows: 9 row blocks of 85 and a last one of 3 (6 of 127 and one of 6 once cut)
     assert_slices_match_cubic_spline(readout_joint_state(768, 1.3))
+
+
+def test_spline_fits_solve_real_parts_by_one_dgttrs_call(monkeypatch):
+    # a real state is fitted as one float64 column, a chirped one as its real and
+    # imaginary parts; a mode-2 reading solves each row block's rows, or their two parts
+    grid = q.Grid(-12.0, 12.0, 2048)
+    cat = q.build_cat(1.8, 0.2025, grid)
+    amplitude_interpolator(q.WaveFunction(grid, cat.amplitudes))  # factors the band
+    tracemalloc.start()
+    try:
+        amplitude_interpolator(q.WaveFunction(grid, cat.amplitudes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024  # the complex fit peaked at 363 kB
+
+    solved = []
+    dgttrs = _lapack.dgttrs
+
+    def recording(factors, ipiv, rhs):
+        solved.append((rhs.shape[1], rhs.dtype))
+        return dgttrs(factors, ipiv, rhs)
+
+    monkeypatch.setattr(_lapack, "dgttrs", recording)
+    chirped = q.WaveFunction(grid, cat.amplitudes * np.exp(1j * 1.3 * grid.points))
+    for wf, parts in ((cat, 1), (chirped, 2)):
+        solved.clear()
+        amplitude_interpolator(wf)
+        assert solved == [(parts, np.float64)]
+    for chirp, parts in ((0.0, 1), (1.3, 2)):
+        joint = readout_joint_state(768, chirp)
+        blocks = joint._row_blocks()
+        solved.clear()
+        joint.conditioned_on_mode2(-0.37)
+        rows = [min(blocks.step, 768 - start) for start in blocks]  # 9 x 85 and 3
+        assert solved == [(parts * r, np.float64) for r in rows]
 
 
 def test_conditioned_on_mode2_forms_one_interval():

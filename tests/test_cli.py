@@ -478,7 +478,7 @@ def test_csv_values_round_trip_exactly(tmp_path):
 
 
 def test_cli_import_loads_no_scipy_module():
-    # zgttrf and zgttrs come from the OpenBLAS numpy bundles; scipy is a test dependency only
+    # dgttrf and dgttrs come from the OpenBLAS numpy bundles; scipy is a test dependency only
     code = "import sys, qndsim.cli; print(*sorted(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(Path(q.__file__).parents[1])}
     loaded = subprocess.run(

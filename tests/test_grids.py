@@ -224,11 +224,25 @@ def bits(values):
     return np.ascontiguousarray(values).view(np.uint64)
 
 
+def recombined(real, imag):
+    """The complex array of these parts, each kept bit for bit (real + 1j * imag is not)."""
+    out = np.empty(real.shape, dtype=np.complex128)
+    out.real, out.imag = real, imag
+    return out
+
+
 def fitted_coefficients(grid, y):
-    """(4, n - 1, ...) coefficients, highest power first, from the in-repo fit."""
-    s, slope = q.grids._spline_slopes(grid, y)
-    h = np.diff(grid.points).reshape((-1,) + (1,) * (y.ndim - 1))
-    return np.stack(q.grids._hermite_coefficients(h, y[:-1], s[:-1], s[1:], slope))
+    """(4, n - 1, ...) coefficients, highest power first, from the in-repo fit of y's
+    real and imaginary parts (axis 0 runs along the grid), recombined."""
+    rows = np.moveaxis(y, 0, -1)  # the fit takes one curve per row
+    parts = []
+    for part in (rows.real, rows.imag):
+        s, slope = q.grids._spline_slopes(grid, part)
+        pieces = q.grids._hermite_coefficients(
+            grid._spline_band.inv_dx, part[..., :-1], s[..., :-1], s[..., 1:], slope
+        )
+        parts.append(np.moveaxis(np.stack(pieces), -1, 1))
+    return recombined(*parts)
 
 
 @pytest.mark.parametrize("n", [64, 257, 2048, 8192])
@@ -259,7 +273,8 @@ def test_spline_fit_matches_cubic_spline_coefficients_bitwise(n, kind):
 def test_spline_fit_matches_cubic_spline_bitwise_on_any_uniform_grid(
     x_min, width, n, tails, seed
 ):
-    # the cached band factors are zgtsv's elimination only if no row is interchanged
+    # dgttrf + dgttrs repeat zgtsv's elimination, part by part, only if no row is
+    # interchanged
     grid = q.Grid(x_min, x_min + width, n)
     rng = np.random.default_rng(seed)
     y = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -270,46 +285,48 @@ def test_spline_fit_matches_cubic_spline_bitwise_on_any_uniform_grid(
 
 
 @pytest.mark.skipif(
-    _lapack._ZGTTRF is None or _lapack._ZGTTRS is None,
-    reason="numpy bundles no OpenBLAS here: scipy's zgttrf and zgttrs are the one path",
+    _lapack._DGTTRF is None or _lapack._DGTTRS is None,
+    reason="numpy bundles no OpenBLAS here: scipy's dgttrf and dgttrs are the one path",
 )
 @pytest.mark.parametrize("n", [64, 257, 2048, 8192])
 @pytest.mark.parametrize("nrhs", [1, 3, 85])
 def test_spline_fit_is_bitwise_equal_on_the_bundled_and_scipy_zgtsv(monkeypatch, n, nrhs):
-    # bundled zgttrf + zgttrs against scipy's zgttrf + zgttrs, and against the zgtsv
-    # solve inside CubicSpline (its c[2] holds the knot derivatives)
+    # bundled dgttrf + dgttrs against scipy's dgttrf + dgttrs, and against the zgtsv
+    # solve inside CubicSpline (its c[2] holds the knot derivatives), part by part
     rng = np.random.default_rng(n + nrhs)
     block = rng.normal(size=(nrhs, n)) + 1j * rng.normal(size=(nrhs, n))  # C-ordered rows
-    # 1-D; the transposed row block conditioned_on_mode2 passes; C-ordered columns
-    curves = [block[0], block.T, np.ascontiguousarray(block.T)]
-    bundled = [q.grids._spline_slopes(q.Grid(-7.3, 6.1, n), y) for y in curves]
+    # 1-D; a row block's parts, as conditioned_on_mode2 passes them (2 nrhs rows)
+    curves = [q.grids._real_parts(block[0]), q.grids._real_parts(block)]
+    bundled = [q.grids._spline_slopes(q.Grid(-7.3, 6.1, n), y)[0] for y in curves]
     x = q.Grid(-7.3, 6.1, n).points
-    for y, (s, _) in zip(curves, bundled):
-        assert np.array_equal(bits(s[:-1]), bits(CubicSpline(x, y).c[2]))
+    for y, s in zip((block[0], block), bundled):
+        expected = CubicSpline(x, y, axis=-1).c[2]
+        assert np.array_equal(bits(recombined(*s[..., :-1])), bits(np.moveaxis(expected, 0, -1)))
     # what a numpy without numpy.libs resolves
-    monkeypatch.setattr(_lapack, "_ZGTTRF", None)
-    monkeypatch.setattr(_lapack, "_ZGTTRS", None)
-    for y, (s, _) in zip(curves, bundled):
-        # a fresh grid: its band is factored by scipy's zgttrf too
+    monkeypatch.setattr(_lapack, "_DGTTRF", None)
+    monkeypatch.setattr(_lapack, "_DGTTRS", None)
+    for y, s in zip(curves, bundled):
+        # a fresh grid: its band is factored by scipy's dgttrf too
         s_scipy, _ = q.grids._spline_slopes(q.Grid(-7.3, 6.1, n), y)
         assert s.shape == s_scipy.shape == y.shape
         assert np.array_equal(bits(s), bits(s_scipy))
 
 
-@pytest.mark.skipif(_lapack._ZGTTRS is None, reason="numpy bundles no OpenBLAS here")
-def test_zgttrs_refuses_what_it_cannot_pass_as_pointers():
+@pytest.mark.skipif(_lapack._DGTTRS is None, reason="numpy bundles no OpenBLAS here")
+def test_dgttrs_refuses_what_it_cannot_pass_as_pointers():
     band = q.Grid(-3.0, 4.0, 100)._spline_band
-    rhs = np.zeros((100, 1), dtype=complex)
+    rhs = np.zeros((100, 1))
     bad = [
         (band.factors[::2], band.ipiv, rhs),  # strided factors
-        (band.factors.real.copy(), band.ipiv, rhs),  # real factors
+        (band.factors.astype(complex), band.ipiv, rhs),  # complex factors: the wrong dtype
         (band.factors, band.ipiv.astype(np.int32), rhs),  # 32-bit pivots
         (band.factors[:-1], band.ipiv, rhs),  # factors of no n-row band
         (band.factors, band.ipiv, rhs[:-1]),  # rhs of n - 1 rows
+        (band.factors, band.ipiv, rhs.astype(complex)),  # a complex rhs: no real solve
     ]
     for args in bad:
-        with pytest.raises(ValueError, match="zgttrs needs"):
-            _lapack.zgttrs(*args)
+        with pytest.raises(ValueError, match="dgttrs needs"):
+            _lapack.dgttrs(*args)
 
 
 def test_multi_column_fit_matches_cubic_spline_along_axis_1_bitwise():
@@ -322,8 +339,8 @@ def test_multi_column_fit_matches_cubic_spline_along_axis_1_bitwise():
 
 def test_spline_band_is_factored_once_per_grid(monkeypatch):
     factored = []
-    zgttrf = _lapack.zgttrf
-    monkeypatch.setattr(_lapack, "zgttrf", lambda *band: factored.append(1) or zgttrf(*band))
+    dgttrf = _lapack.dgttrf
+    monkeypatch.setattr(_lapack, "dgttrf", lambda *band: factored.append(1) or dgttrf(*band))
     grid = q.Grid(-6.0, 6.0, 512)
     amps = q.build_gaussian(VACUUM, grid).amplitudes
     for _ in range(200):
@@ -359,9 +376,9 @@ def test_repeated_spline_fits_do_not_grow_memory():
     assert grown < 32 * 1024
 
 
-def test_singular_spline_band_names_zgttrf():
+def test_singular_spline_band_names_dgttrf():
     grid = q.Grid(1e16, 1e16 + 2, 16)  # knots that round onto one another: dx = 0
-    with pytest.raises(InvalidParameterError, match=r"singular \(zgttrf info \d+\)"):
+    with pytest.raises(InvalidParameterError, match=r"singular \(dgttrf info \d+\)"):
         q.grids.amplitude_interpolator(q.WaveFunction(grid, np.ones(16, dtype=complex)))
 
 
