@@ -8,8 +8,9 @@ it through ctypes costs no further import.  Builds without it (numpy 1.x, macOS,
 Windows, conda, distributions) use scipy.linalg's wrappers of the same routines,
 imported at the first call; that is why scipy stays a runtime dependency.
 
-The factors travel as one float64 array holding dgttrf's dl, d, du and du2 back to
-back (4 n - 4 values) and the pivot indices as int64, whichever library made them.
+`dgttrf` returns the band's solver, which closes over dgttrf's factors and pivot
+indices: whichever library made them, they never leave this module, so no call
+passes them back in to be checked again.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+from typing import Callable
 
 import numpy as np
 
@@ -41,50 +43,50 @@ def _bundled():
 _DGTTRF, _DGTTRS = _bundled()
 
 
-def dgttrf(lower, diag, upper) -> tuple[np.ndarray, np.ndarray, int]:
-    """LU factors of the real tridiagonal band (sub-, main, super-diagonal, n >= 2 rows).
+def _fortran_rhs(rhs: np.ndarray, n: int) -> np.ndarray:
+    """rhs as a Fortran-ordered float64 array (itself when it is one); refuses what is
+    not a real (n, nrhs) array."""
+    if np.iscomplexobj(rhs) or np.ndim(rhs) != 2 or len(rhs) != n:
+        raise ValueError("dgttrs needs a real (n, nrhs) rhs for the n-row band")
+    return np.asfortranarray(rhs, dtype=np.float64)
 
-    Returns the factors (dl, d, du, du2 back to back, float64), the int64 pivot
-    indices and LAPACK's info; the band is not modified.
+
+def dgttrf(lower, diag, upper) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """Factor the real tridiagonal band (sub-, main, super-diagonal, n >= 2 rows).
+
+    Returns `solve` and LAPACK's info; the band is not modified.  `solve(rhs)` runs
+    dgttrs against the factors for the real (n, nrhs) rhs and returns the solution,
+    Fortran-ordered (in rhs's memory when rhs is a Fortran-ordered float64 array).
+    dgttrs cannot fail on a factored band (its info reports only an illegal argument),
+    so `solve` returns no info.
     """
     n = len(diag)
     if n < 2 or not len(lower) == len(upper) == n - 1:
         raise ValueError("dgttrf needs a band of n >= 2, n - 1 and n - 1 values")
     if _DGTTRF is None:
-        from scipy.linalg.lapack import dgttrf as scipy_dgttrf
+        from scipy.linalg.lapack import dgttrf as scipy_dgttrf, dgttrs as scipy_dgttrs
 
-        *parts, ipiv, info = scipy_dgttrf(lower, diag, upper)
-        return np.concatenate(parts), ipiv.astype(np.int64), int(info)
-    factors = np.zeros(4 * n - 4)
+        *factors, ipiv, info = scipy_dgttrf(lower, diag, upper)
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            return scipy_dgttrs(*factors, ipiv, _fortran_rhs(rhs, n), overwrite_b=1)[0]
+
+        return solve, int(info)
+    factors = np.zeros(4 * n - 4)  # dl, d, du, du2 back to back
     factors[: 3 * n - 2] = np.concatenate((lower, diag, upper))
     ipiv = np.empty(n, dtype=np.int64)
     ints = np.array([n, 0], dtype=np.int64)  # N, INFO
     p, i = factors.ctypes.data, ints.ctypes.data
     _DGTTRF(i, p, p + 8 * (n - 1), p + 8 * (2 * n - 1), p + 8 * (3 * n - 2),
             ipiv.ctypes.data, i + 8)
-    return factors, ipiv, int(ints[1])
 
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        b = _fortran_rhs(rhs, n)
+        sizes = np.array([n, b.shape[1], 0], dtype=np.int64)  # N (also LDB), NRHS, INFO
+        # the addresses are looked up here, so the closure holds the arrays they point into
+        p, i = factors.ctypes.data, sizes.ctypes.data
+        _DGTTRS(b"N", i, i + 8, p, p + 8 * (n - 1), p + 8 * (2 * n - 1), p + 8 * (3 * n - 2),
+                ipiv.ctypes.data, b.ctypes.data, i, i + 16, 1)
+        return b
 
-def dgttrs(factors: np.ndarray, ipiv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the factored band (dgttrf's factors and pivots) for the real (n, nrhs) rhs.
-
-    Returns the solution, Fortran-ordered (in rhs's memory when rhs is a Fortran-ordered
-    float64 array); the factors are not modified.  dgttrs cannot fail on a factored
-    band (its info reports only an illegal argument), so info is not returned.
-    """
-    n = ipiv.size
-    if _DGTTRS is None:
-        from scipy.linalg.lapack import dgttrs as scipy_dgttrs
-
-        dl, d, du, du2 = np.split(factors, [n - 1, 2 * n - 1, 3 * n - 2])
-        return scipy_dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)[0]
-    pointers_ok = all(a.flags.c_contiguous for a in (factors, ipiv)) and (
-        factors.dtype, ipiv.dtype, factors.shape) == (np.float64, np.int64, (4 * n - 4,))
-    if not pointers_ok or np.iscomplexobj(rhs) or np.ndim(rhs) != 2 or len(rhs) != n:
-        raise ValueError("dgttrs needs dgttrf's factors of an n-row band and a real (n, nrhs) rhs")
-    b = np.asfortranarray(rhs, dtype=np.float64)
-    ints = np.array([n, b.shape[1], 0], dtype=np.int64)  # N (also LDB), NRHS, INFO: per call
-    p, i = factors.ctypes.data, ints.ctypes.data
-    _DGTTRS(b"N", i, i + 8, p, p + 8 * (n - 1), p + 8 * (2 * n - 1), p + 8 * (3 * n - 2),
-            ipiv.ctypes.data, b.ctypes.data, i, i + 16, 1)
-    return b
+    return solve, int(ints[1])

@@ -32,9 +32,7 @@ from .grids import (
     Grid,
     SPLINE_CHUNK,
     WaveFunction,
-    _hermite_coefficients,
-    _real_parts,
-    _spline_slopes,
+    _splines_at,
     amplitude_interpolator,
 )
 
@@ -74,46 +72,19 @@ class JointWaveFunction:
             return Distribution.normalized(self.grid2, self.grid1.weights @ prob)
         raise InvalidParameterError(f"mode must be 1 or 2, got {mode}")
 
-    def _row_blocks(self) -> range:
-        """Starts of the row blocks: at most SPLINE_CHUNK points of the matrix each."""
-        return range(0, self.grid1.n_points, max(1, SPLINE_CHUNK // self.grid2.n_points))
-
     def conditioned_on_mode2(self, reading: float) -> WaveFunction:
-        """Mode-1 state after a sharp mode-2 projection at the given reading.
-
-        Every row of the amplitude matrix is fitted with scipy's not-a-knot spline along
-        mode 2, in real arithmetic: each row block's rows are passed as they lie (no
-        transpose) to `_spline_slopes` on grid2 as their real parts, plus their imaginary
-        parts when the block has any, so a block is one dgttrs call with `rows` or
-        2 `rows` right-hand sides against the band grid2 factors once.  Only the
-        reading's interval is formed, part by part, and the resulting slice is
-        renormalized.  The slice equals
-        `CubicSpline(grid2.points, A, axis=1)(reading)` bit for bit: the same interval
-        (half-open, the last one closed, the end ones extended by the covers() slack)
-        and PPoly's sum c3 + c2 s + c1 s^2 + c0 (s^2 s).  A slice of mass
-        sum w1 |slice|^2 at most NULL_OUTCOME_DENSITY raises NullOutcomeError.
+        """Mode-1 state after a sharp mode-2 projection at the given reading: the slice
+        `CubicSpline(grid2.points, A, axis=1)(reading)` of the amplitude matrix, bit for
+        bit, renormalized on grid1.  A reading outside grid2 (beyond its covers() slack)
+        raises GridTooNarrowError; a slice of mass sum w1 |slice|^2 at most
+        NULL_OUTCOME_DENSITY raises NullOutcomeError.
         """
         if not self.grid2.covers(reading, reading):
             raise GridTooNarrowError(
                 f"mode-2 reading {reading} lies outside the grid "
                 f"[{self.grid2.x_min}, {self.grid2.x_max}]"
             )
-        knots = self.grid2.points
-        i = min(max(int(np.searchsorted(knots, reading, side="right")) - 1, 0), knots.size - 2)
-        u = reading - knots[i]
-        u2 = u * u
-        inv_h = self.grid2._spline_band.inv_dx[i]
-        vals = np.zeros(self.grid1.n_points, dtype=np.complex128)
-        blocks = self._row_blocks()
-        for start in blocks:
-            rows = _real_parts(self.amplitudes[start : start + blocks.step])
-            s, slope = _spline_slopes(self.grid2, rows)
-            c0, c1, c2, c3 = _hermite_coefficients(
-                inv_h, rows[..., i], s[..., i], s[..., i + 1], slope[..., i]
-            )
-            parts = c3 + c2 * u + c1 * u2 + c0 * (u2 * u)
-            for target, part in zip((vals.real, vals.imag), parts):
-                target[start : start + blocks.step] = part
+        vals = _splines_at(self.grid2, self.amplitudes, reading)
         mass = float(self.grid1.weights @ np.abs(vals) ** 2)
         if mass <= NULL_OUTCOME_DENSITY:
             raise NullOutcomeError(
@@ -164,15 +135,14 @@ def beam_splitter_transform(
     s_eval = amplitude_interpolator(signal)
     p_eval = amplitude_interpolator(probe)
     y2 = out_grid2.points[None, :]
-    amp = np.empty((out_grid1.n_points, out_grid2.n_points), dtype=np.complex128)
-    joint = JointWaveFunction(out_grid1, out_grid2, amp)
-    blocks = joint._row_blocks()
-    for start in blocks:
-        y1 = out_grid1.points[start : start + blocks.step, None]
-        block = amp[start : start + blocks.step]
+    amp = np.empty((n, n), dtype=np.complex128)
+    step = max(1, SPLINE_CHUNK // n)  # rows per block
+    for start in range(0, n, step):
+        y1 = out_grid1.points[start : start + step, None]
+        block = amp[start : start + step]
         block[...] = s_eval(y1 * c - y2 * s)
         block *= p_eval(y1 * s + y2 * c)
-    return joint
+    return JointWaveFunction(out_grid1, out_grid2, amp)
 
 
 def outcome_grid(

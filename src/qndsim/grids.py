@@ -44,6 +44,13 @@ class Grid:
             raise InvalidParameterError(
                 f"grid needs finite bounds and step, got [{self.x_min}, {self.x_max}]"
             )
+        # above 4 float spacings, rounding cannot make two points equal or out of order
+        spacing = math.ulp(max(abs(self.x_min), abs(self.x_max)))
+        if not self.step > 4 * spacing:
+            raise InvalidParameterError(
+                f"grid [{self.x_min}, {self.x_max}] x {self.n_points} has step {self.step:.3g}, "
+                f"not above 4 times the float spacing {spacing:.3g} at its bounds"
+            )
 
     @property
     def step(self) -> float:
@@ -325,8 +332,7 @@ def format_state_spec(spec: StateSpec) -> str:
 class _SplineBand(NamedTuple):
     """What every spline fit on a grid needs of the grid alone."""
 
-    factors: np.ndarray  # dgttrf's dl, d, du, du2 of the not-a-knot band, back to back
-    ipiv: np.ndarray  # dgttrf's pivot indices
+    solve: Callable[[np.ndarray], np.ndarray]  # dgttrs against the factored not-a-knot band
     dx: np.ndarray  # the knot spacings
     inv_dx: np.ndarray  # 1 / dx: numpy divides complex by real as a product with it
     # evaluator tables, indexed by k = interval + 1: the knot s is measured from, and the
@@ -347,18 +353,17 @@ def _factor_spline_band(grid: Grid) -> _SplineBand:
     lower[:-1] = dx[1:]
     diag[0], upper[0] = dx[1], x[2] - x[0]
     diag[-1], lower[-1] = dx[-2], x[-1] - x[-3]
-    factors, ipiv, info = _lapack.dgttrf(lower, diag, upper)
+    solve, info = _lapack.dgttrf(lower, diag, upper)
     if info:
         raise InvalidParameterError(f"spline system is singular (dgttrf info {info})")
     band = _SplineBand(
-        factors,
-        ipiv,
+        solve,
         dx,
         1.0 / dx,
         np.concatenate(([grid.x_min], x[:-1], [np.inf])),
         np.concatenate(([grid.x_min], x[1:-1], [np.nextafter(grid.x_max, np.inf)], [np.inf])),
     )
-    for array in band:
+    for array in band[1:]:
         array.flags.writeable = False
     return band
 
@@ -388,7 +393,7 @@ def _spline_slopes(grid: Grid, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The band depends on the knots alone, so the grid factors it once, at its first fit
     (LAPACK dgttrf, `Grid._spline_band`), and each call solves all rows by one dgttrs
-    call against those factors; both come from the OpenBLAS bundled with numpy
+    call of the band's `solve`; both come from the OpenBLAS bundled with numpy
     (`_lapack`).  When no row is interchanged, dgttrf + dgttrs repeat, part by part, the
     elimination of zgtsv, which `solve_banded((1, 1))` calls for complex y; the band of
     a uniform grid interchanges none (row 0 has |d| = |dl| = h, and later pivots tend to
@@ -408,7 +413,7 @@ def _spline_slopes(grid: Grid, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = x[-1] - x[-3]
     rhs[..., -1] = dx[-1] ** 2 * slope[..., -2] + (2 * d + dx[-1]) * dx[-2] * slope[..., -1]
     rhs[..., -1] *= 1 / d
-    derivs = _lapack.dgttrs(band.factors, band.ipiv, rhs.reshape(-1, n).T)
+    derivs = band.solve(rhs.reshape(-1, n).T)
     return derivs.T.reshape(y.shape), slope
 
 
@@ -424,6 +429,35 @@ def _hermite_coefficients(inv_h, y, s0, s1, slope) -> tuple[np.ndarray, ...]:
     c1 *= inv_h
     c1 -= t
     return t * inv_h, c1, s0, y
+
+
+def _splines_at(grid: Grid, rows: np.ndarray, x: float) -> np.ndarray:
+    """The values at x of the not-a-knot splines through each complex row of rows (its
+    last axis runs along the grid): `CubicSpline(grid.points, rows, axis=1)(x)` bit for
+    bit, for x inside the grid or within its covers() slack of an end.
+
+    The rows are fitted in blocks of at most SPLINE_CHUNK points, each block's real
+    parts, plus its imaginary parts when it has any, by one dgttrs solve
+    (`_spline_slopes`).  Only x's interval is formed, part by part: scipy's interval
+    (half-open, the last one closed, the end ones extended) and PPoly's sum
+    c3 + c2 s + c1 s^2 + c0 (s^2 s).
+    """
+    knots = grid.points
+    i = min(max(int(np.searchsorted(knots, x, side="right")) - 1, 0), knots.size - 2)
+    u = x - knots[i]
+    u2 = u * u
+    inv_h = grid._spline_band.inv_dx[i]
+    vals = np.zeros(len(rows), dtype=np.complex128)
+    step = max(1, SPLINE_CHUNK // grid.n_points)
+    for start in range(0, len(rows), step):
+        parts = _real_parts(rows[start : start + step])
+        s, slope = _spline_slopes(grid, parts)
+        c0, c1, c2, c3 = _hermite_coefficients(
+            inv_h, parts[..., i], s[..., i], s[..., i + 1], slope[..., i]
+        )
+        for target, part in zip((vals.real, vals.imag), c3 + c2 * u + c1 * u2 + c0 * (u2 * u)):
+            target[start : start + step] = part
+    return vals
 
 
 def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:

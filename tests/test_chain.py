@@ -71,6 +71,8 @@ def test_beam_splitter_identity_phase_marginals():
     m1, m2 = joint.marginal(1), joint.marginal(2)
     assert l1_distance(m1.grid, m1.density, gaussian_density(m1.grid.points, 0.0, 0.1)) < 1e-6
     assert l1_distance(m2.grid, m2.density, gaussian_density(m2.grid.points, 0.0, 0.5)) < 1e-6
+    with pytest.raises(InvalidParameterError, match="mode must be 1 or 2, got 3"):
+        joint.marginal(3)
 
 
 def test_beam_splitter_swap_phase():
@@ -322,24 +324,31 @@ def test_spline_fits_solve_real_parts_by_one_dgttrs_call(monkeypatch):
     assert peak < 256 * 1024  # the complex fit peaked at 363 kB
 
     solved = []
-    dgttrs = _lapack.dgttrs
+    dgttrf = _lapack.dgttrf
 
-    def recording(factors, ipiv, rhs):
-        solved.append((rhs.shape[1], rhs.dtype))
-        return dgttrs(factors, ipiv, rhs)
+    def recording(*band):
+        solve, info = dgttrf(*band)
 
-    monkeypatch.setattr(_lapack, "dgttrs", recording)
+        def recorded(rhs):
+            solved.append((rhs.shape[1], rhs.dtype))
+            return solve(rhs)
+
+        return recorded, info
+
+    monkeypatch.setattr(_lapack, "dgttrf", recording)
+    grid = q.Grid(-12.0, 12.0, 2048)  # a fresh grid: its band is factored after the patch
+    cat = q.WaveFunction(grid, cat.amplitudes)
     chirped = q.WaveFunction(grid, cat.amplitudes * np.exp(1j * 1.3 * grid.points))
     for wf, parts in ((cat, 1), (chirped, 2)):
         solved.clear()
         amplitude_interpolator(wf)
         assert solved == [(parts, np.float64)]
+    step = q.grids.SPLINE_CHUNK // 768  # rows per block
     for chirp, parts in ((0.0, 1), (1.3, 2)):
-        joint = readout_joint_state(768, chirp)
-        blocks = joint._row_blocks()
+        joint = readout_joint_state(768, chirp)  # fresh grids
         solved.clear()
         joint.conditioned_on_mode2(-0.37)
-        rows = [min(blocks.step, 768 - start) for start in blocks]  # 9 x 85 and 3
+        rows = [min(step, 768 - start) for start in range(0, 768, step)]  # 9 x 85 and 3
         assert solved == [(parts * r, np.float64) for r in rows]
 
 
@@ -361,6 +370,13 @@ def test_conditioned_on_mode2_null_slice():
     message = re.escape(f"reading {joint.grid2.x_min} leaves a slice of mass ")
     with pytest.raises(NullOutcomeError, match=message):
         joint.conditioned_on_mode2(joint.grid2.x_min)
+
+
+def test_conditioned_on_mode2_refuses_a_reading_off_grid2():
+    joint = readout_joint_state(300)
+    reading = joint.grid2.x_max + 1e-3
+    with pytest.raises(GridTooNarrowError, match=re.escape(f"reading {reading} lies outside")):
+        joint.conditioned_on_mode2(reading)
 
 
 def test_conditional_raw_vacuum_pair_at_origin():

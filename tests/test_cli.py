@@ -286,6 +286,34 @@ def test_chain_file_signal_with_header_row_exits_3(tmp_path, capsys):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([(0.1 * i, 1.0) for i in range(15)], "at least 16 rows"),
+    ([(0.1 * i + (0.05 if i == 7 else 0.0), 1.0) for i in range(20)], "not uniformly spaced"),
+])
+def test_chain_bad_file_signal_exits_3_writing_nothing(tmp_path, capsys, rows, message):
+    path = tmp_path / "signal.csv"
+    path.write_text("".join(f"{x!r},{a!r}\n" for x, a in rows))
+    out = tmp_path / "run"
+    assert main(["chain", "--phi", "0.7854", "--probe-var", "0.25", "--signal", f"file:{path}",
+                 "--outcome", "0.0", "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--mode", "numeric", "--steps", "3", "--x-min", "0.5", "--x-max", "2"],
+    ["optimize", "--mode", "numeric"],
+    ["chain", "--phi", "0.7854", "--probe-var", "0.25", "--outcome", "1e16"],
+])
+def test_signal_beyond_float_resolution_exits_3_writing_nothing(tmp_path, capsys, command):
+    # at mean 1e16 the 2048-point grid's step is 0.0098 and the float spacing 2: the
+    # sweep wrote G = 0.443 and F = 0.982 at x = 0.5 from 11 distinct points
+    out = tmp_path / "run"
+    assert main([*command, "--signal", "gaussian:1e16,1", "--out", str(out)]) == 3
+    assert "not above 4 times the float spacing" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_errors_exit_2(tmp_path):
     out = str(tmp_path / "x")
     assert main(["sweep", "--x-min", "0.1", "--x-max", "2", "--steps", "0",
@@ -298,6 +326,10 @@ def test_usage_errors_exit_2(tmp_path):
                  "--signal", "cat:nan,0.2", "--outcome", "0.0", "--out", out]) == 2
     assert main(["chain", "--phi", "0.7", "--probe-var", "0.25",
                  "--signal", "gaussian:0,0.25", "--outcome", "sample:-3", "--out", out]) == 2
+    for flags in (["--grid-n", "x"], ["--seed", "abc"], ["--outcome", "0,x"],
+                  ["--signal", "file:"]):
+        assert main(["chain", "--phi", "0.7", "--probe-var", "0.25", "--outcome", "0.0",
+                     *flags, "--out", out]) == 2
     assert main([]) == 2
     assert not (tmp_path / "x").exists()
 

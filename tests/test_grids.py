@@ -32,6 +32,24 @@ def test_grid_validation():
         q.Grid(1.0, -1.0, 64)
     with pytest.raises(InvalidParameterError):
         q.Grid(-1.0, 1.0, 8)
+    # a step of 0.0098 at a float spacing of 2: 11 distinct points of 2048
+    with pytest.raises(InvalidParameterError, match=r"step 0\.00977, not above 4 times the "
+                       r"float spacing 2 at its bounds"):
+        q.Grid(1e16 - 10, 1e16 + 10, 2048)
+
+
+@given(
+    x_min=st.floats(-1e17, 1e17),
+    spacings=st.floats(0.5, 64.0),  # the step, in float spacings at x_min
+    n=st.integers(16, 4096),
+)
+@settings(max_examples=200, deadline=None)
+def test_every_grid_that_constructs_has_increasing_points(x_min, spacings, n):
+    try:
+        grid = q.Grid(x_min, x_min + spacings * math.ulp(x_min) * (n - 1), n)
+    except InvalidParameterError:
+        return
+    assert (np.diff(grid.points) > 0).all()
 
 
 @pytest.mark.parametrize("bounds", [(-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308)])
@@ -177,12 +195,18 @@ def test_distribution_rejects_negative_density():
     values[3] = -1.0
     with pytest.raises(InvalidParameterError):
         q.Distribution.normalized(grid, values)
+    with pytest.raises(InvalidParameterError, match=r"shape \(32,\) does not match"):
+        q.Distribution.normalized(grid, np.ones(32))
+    with pytest.raises(InvalidParameterError, match="null or non-finite density"):
+        q.Distribution.normalized(grid, np.zeros(64))
 
 
 def test_auto_grid_spans_all_states():
     grid = q.auto_grid([q.GaussianSpec(-1.0, 0.25), q.CatSpec(3.0, 1.0)])
     assert grid.x_min <= -1.0 - 10 * 1.0 + 1e-12
     assert grid.x_max >= 3.0 + 10 * 1.0 - 1e-12
+    with pytest.raises(InvalidParameterError, match="at least one state spec"):
+        q.GridPolicy().grid_for([])
 
 
 # the last knot x_min + 2047 step falls 8.9e-16 below x_max on the first grid
@@ -312,21 +336,19 @@ def test_spline_fit_is_bitwise_equal_on_the_bundled_and_scipy_zgtsv(monkeypatch,
         assert np.array_equal(bits(s), bits(s_scipy))
 
 
-@pytest.mark.skipif(_lapack._DGTTRS is None, reason="numpy bundles no OpenBLAS here")
-def test_dgttrs_refuses_what_it_cannot_pass_as_pointers():
-    band = q.Grid(-3.0, 4.0, 100)._spline_band
+def test_dgttrs_refuses_what_it_cannot_pass_as_pointers(monkeypatch):
+    # a band's solve, on the bundled route and on scipy's, takes only a real (n, nrhs) rhs
     rhs = np.zeros((100, 1))
-    bad = [
-        (band.factors[::2], band.ipiv, rhs),  # strided factors
-        (band.factors.astype(complex), band.ipiv, rhs),  # complex factors: the wrong dtype
-        (band.factors, band.ipiv.astype(np.int32), rhs),  # 32-bit pivots
-        (band.factors[:-1], band.ipiv, rhs),  # factors of no n-row band
-        (band.factors, band.ipiv, rhs[:-1]),  # rhs of n - 1 rows
-        (band.factors, band.ipiv, rhs.astype(complex)),  # a complex rhs: no real solve
-    ]
-    for args in bad:
-        with pytest.raises(ValueError, match="dgttrs needs"):
-            _lapack.dgttrs(*args)
+    for route in ("bundled", "scipy"):
+        if route == "scipy":
+            monkeypatch.setattr(_lapack, "_DGTTRF", None)
+        solve = q.Grid(-3.0, 4.0, 100)._spline_band.solve  # a fresh grid: factored here
+        for bad in (rhs[:-1], rhs.astype(complex), rhs[:, 0]):  # n - 1 rows, complex, 1-D
+            with pytest.raises(ValueError, match="dgttrs needs"):
+                solve(bad)
+    for band in (([], [1.0], []), (np.ones(2), np.ones(4), np.ones(3))):  # n = 1; n - 2 values
+        with pytest.raises(ValueError, match="dgttrf needs a band"):
+            _lapack.dgttrf(*band)
 
 
 def test_multi_column_fit_matches_cubic_spline_along_axis_1_bitwise():
@@ -376,8 +398,12 @@ def test_repeated_spline_fits_do_not_grow_memory():
     assert grown < 32 * 1024
 
 
-def test_singular_spline_band_names_dgttrf():
-    grid = q.Grid(1e16, 1e16 + 2, 16)  # knots that round onto one another: dx = 0
+def test_singular_spline_band_names_dgttrf(monkeypatch):
+    # a grid's knots are distinct (Grid refuses a step within 4 float spacings), so a
+    # singular band is what dgttrf reports: a nonzero info
+    dgttrf = _lapack.dgttrf
+    monkeypatch.setattr(_lapack, "dgttrf", lambda *band: (dgttrf(*band)[0], 3))
+    grid = q.Grid(-3.0, 4.0, 16)
     with pytest.raises(InvalidParameterError, match=r"singular \(dgttrf info \d+\)"):
         q.grids.amplitude_interpolator(q.WaveFunction(grid, np.ones(16, dtype=complex)))
 

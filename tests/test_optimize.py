@@ -123,6 +123,9 @@ def test_equal_fidelity_point_location():
     # F - G is exactly 0.0 at one float, so even tol = 1e-18 converges
     x_exact = q.equal_fidelity_point(1.0, 2.0, 1e-18)
     assert q.gaussian_state_fidelity(x_exact) == q.gaussian_distribution_fidelity(x_exact)
+    # a bracket end where F - G is exactly 0 is the root
+    assert q.equal_fidelity_point(x_exact, 2.0, 1e-6) == x_exact
+    assert q.equal_fidelity_point(1.0, x_exact, 1e-6) == x_exact
 
 
 def test_equal_fidelity_point_bracket_errors():
