@@ -91,7 +91,7 @@ class JointWaveFunction:
                 f"mode-2 reading {reading} leaves a slice of mass {mass:.3e}, "
                 f"at most {NULL_OUTCOME_DENSITY}"
             )
-        return WaveFunction.normalized(self.grid1, vals)
+        return WaveFunction._scaled(self.grid1, vals, mass)
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,10 @@ def beam_splitter_transform(
     The output grids span the bounding box of the rotated input rectangle on
     max(n_signal, n_probe) points each; with c, s > 0 the rotated support lies
     inside it.  Inputs are cubic-interpolated at the rotated arguments, one row
-    block (at most SPLINE_CHUNK points, so one evaluator chunk) at a time.  The
-    output is deliberately not renormalized; norm preservation within 1e-6 is
-    part of the contract and is what the tests check.
+    block (at most SPLINE_CHUNK points, so one evaluator chunk) at a time, into a
+    matrix of the inputs' result dtype: float64 for two real states.  The output is
+    deliberately not renormalized; norm preservation within 1e-6 is part of the
+    contract and is what the tests check.
     """
     check_phase(phi)
     c, s = math.cos(phi), math.sin(phi)
@@ -135,7 +136,7 @@ def beam_splitter_transform(
     s_eval = amplitude_interpolator(signal)
     p_eval = amplitude_interpolator(probe)
     y2 = out_grid2.points[None, :]
-    amp = np.empty((n, n), dtype=np.complex128)
+    amp = np.empty((n, n), dtype=np.result_type(signal.amplitudes, probe.amplitudes))
     step = max(1, SPLINE_CHUNK // n)  # rows per block
     for start in range(0, n, step):
         y1 = out_grid1.points[start : start + step, None]
@@ -226,12 +227,13 @@ def homodyne_distribution(
 
 def _conditioned(grid: Grid, vals: np.ndarray, jacobian: float, x0: float) -> WaveFunction:
     """vals renormalized on grid; refuses when p(x0) = jacobian * sum w |vals|^2 is null."""
-    p_x0 = jacobian * float(grid.weights @ np.abs(vals) ** 2)
+    norm_sq = float(grid.weights @ np.abs(vals) ** 2)
+    p_x0 = jacobian * norm_sq
     if p_x0 <= NULL_OUTCOME_DENSITY:
         raise NullOutcomeError(
             f"outcome density p(x0)={p_x0:.3e} at x0={x0} is below {NULL_OUTCOME_DENSITY}"
         )
-    return WaveFunction.normalized(grid, vals)
+    return WaveFunction._scaled(grid, vals, norm_sq)
 
 
 def _moved(state: WaveFunction, scale: float, shift: float, what: str) -> WaveFunction:
@@ -246,7 +248,8 @@ def _moved(state: WaveFunction, scale: float, shift: float, what: str) -> WaveFu
             f"[{state.grid.x_min}, {state.grid.x_max}]"
         )
     evaluate = amplitude_interpolator(state)
-    vals = evaluate((state.grid.points - shift) / scale) / math.sqrt(scale)
+    # times the reciprocal, as numpy divides a complex array by a real scalar
+    vals = evaluate((state.grid.points - shift) / scale) * (1.0 / math.sqrt(scale))
     return WaveFunction.normalized(state.grid, vals)
 
 

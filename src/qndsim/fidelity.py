@@ -247,6 +247,7 @@ class DensityMatrixGrid:
         non-null outcome, so that rho = rows^T conj(rows)."""
         live = self.weight > 0.0
         rows = sliding_window_view(self.kappa, self.grid.n_points)[:: -self.stride][live]
+        rows = rows.astype(np.result_type(rows, self.amplitudes), copy=False)
         rows *= self.amplitudes
         rows *= np.sqrt(self.weight[live])[:, None]
         return rows

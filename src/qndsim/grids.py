@@ -44,12 +44,14 @@ class Grid:
             raise InvalidParameterError(
                 f"grid needs finite bounds and step, got [{self.x_min}, {self.x_max}]"
             )
-        # above 4 float spacings, rounding cannot make two points equal or out of order
+        # Above 2**16 float spacings, rounding the points moves F and G by at most 1e-10
+        # against the same state centred at 0 (8.3e-11 at 2**16.3 spacings; 1.3e-4 at
+        # 2**2.3), and no two points are equal or out of order (that needs only 4).
         spacing = math.ulp(max(abs(self.x_min), abs(self.x_max)))
-        if not self.step > 4 * spacing:
+        if not self.step > 2**16 * spacing:
             raise InvalidParameterError(
                 f"grid [{self.x_min}, {self.x_max}] x {self.n_points} has step {self.step:.3g}, "
-                f"not above 4 times the float spacing {spacing:.3g} at its bounds"
+                f"not above 2**16 times the float spacing {spacing:.3g} at its bounds"
             )
 
     @property
@@ -151,23 +153,36 @@ StateSpec = Union[GaussianSpec, CatSpec]
 
 @dataclass(frozen=True, eq=False)
 class WaveFunction:
-    """Complex amplitudes on a grid, held at unit L2 norm."""
+    """Real or complex amplitudes on a grid, held at unit L2 norm; float64 for a real
+    state, complex128 for a complex one.
+
+    Every state of the chain is real in the x representation (squeezed vacua, Gaussian
+    and cat signals, and each stage's real mixing, projection, shift and rescale), so
+    it stays float64 from its builder on, with the bits of its complex128 form's real
+    part: a complex product or division by a real number is part by part."""
 
     grid: Grid
     amplitudes: np.ndarray
 
     @classmethod
     def normalized(cls, grid: Grid, values: np.ndarray) -> "WaveFunction":
-        amp = np.ascontiguousarray(values, dtype=np.complex128)
+        dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+        amp = np.ascontiguousarray(values, dtype=dtype)
         if amp.shape != (grid.n_points,):
             raise InvalidParameterError(
                 f"amplitude array of shape {amp.shape} does not match grid with "
                 f"{grid.n_points} points"
             )
-        norm_sq = float(grid.weights @ np.abs(amp) ** 2)
+        return cls._scaled(grid, amp, float(grid.weights @ np.abs(amp) ** 2))
+
+    @classmethod
+    def _scaled(cls, grid: Grid, amp: np.ndarray, norm_sq: float) -> "WaveFunction":
+        """amp, a grid-shaped float64 or complex128 array of squared norm norm_sq,
+        normalized: times 1 / sqrt(norm_sq), which is how numpy divides a complex array
+        by a real scalar (a real division would round differently)."""
         if not math.isfinite(norm_sq) or norm_sq <= 0.0:
             raise InvalidParameterError("cannot normalize a null or non-finite wavefunction")
-        amp = amp / math.sqrt(norm_sq)
+        amp = amp * (1.0 / math.sqrt(norm_sq))
         amp.flags.writeable = False
         return cls(grid, amp)
 
@@ -254,7 +269,9 @@ def overlap(a: WaveFunction, b: WaveFunction) -> complex:
             f"overlap needs identical grids, got [{a.grid.x_min}, {a.grid.x_max}] x "
             f"{a.grid.n_points} vs [{b.grid.x_min}, {b.grid.x_max}] x {b.grid.n_points}"
         )
-    return complex(a.grid.weights @ (np.conj(a.amplitudes) * b.amplitudes))
+    # a complex dot for real states too: a real one sums in another order
+    product = np.conj(a.amplitudes) * b.amplitudes
+    return complex(a.grid.weights @ product.astype(np.complex128, copy=False))
 
 
 def density(a: WaveFunction) -> Distribution:
@@ -334,7 +351,8 @@ class _SplineBand(NamedTuple):
 
     solve: Callable[[np.ndarray], np.ndarray]  # dgttrs against the factored not-a-knot band
     dx: np.ndarray  # the knot spacings
-    inv_dx: np.ndarray  # 1 / dx: numpy divides complex by real as a product with it
+    inv_dx: np.ndarray  # 1 / dx: each division by a spacing is a product with it, as
+    # numpy divides complex by real, so real and imaginary parts keep scipy's complex bits
     # evaluator tables, indexed by k = interval + 1: the knot s is measured from, and the
     # knot that decides between two neighbouring intervals.  k = 0 (below x_min, NaN) and
     # k = n (above x_max) are sentinels: zero coefficients, and s is clamped to 0 there.
@@ -371,6 +389,8 @@ def _factor_spline_band(grid: Grid) -> _SplineBand:
 def _real_parts(values: np.ndarray) -> np.ndarray:
     """The real part of values, and its imaginary part when that is nonzero, stacked on a
     new first axis: a (1 or 2,) + values.shape float64 array (a view when 1)."""
+    if not np.iscomplexobj(values):
+        return values[np.newaxis]
     if not np.count_nonzero(values.imag):
         return values.real[np.newaxis]
     return np.stack((values.real, values.imag))
@@ -432,9 +452,10 @@ def _hermite_coefficients(inv_h, y, s0, s1, slope) -> tuple[np.ndarray, ...]:
 
 
 def _splines_at(grid: Grid, rows: np.ndarray, x: float) -> np.ndarray:
-    """The values at x of the not-a-knot splines through each complex row of rows (its
-    last axis runs along the grid): `CubicSpline(grid.points, rows, axis=1)(x)` bit for
-    bit, for x inside the grid or within its covers() slack of an end.
+    """The values at x of the not-a-knot splines through each row of rows (its last axis
+    runs along the grid), in rows' dtype (float64 or complex128): `CubicSpline(grid.points,
+    rows.astype(complex), axis=1)(x)` bit for bit, for x inside the grid or within its
+    covers() slack of an end.
 
     The rows are fitted in blocks of at most SPLINE_CHUNK points, each block's real
     parts, plus its imaginary parts when it has any, by one dgttrs solve
@@ -447,7 +468,8 @@ def _splines_at(grid: Grid, rows: np.ndarray, x: float) -> np.ndarray:
     u = x - knots[i]
     u2 = u * u
     inv_h = grid._spline_band.inv_dx[i]
-    vals = np.zeros(len(rows), dtype=np.complex128)
+    vals = np.zeros(len(rows), dtype=rows.dtype)  # a block's zero imaginary part stays 0
+    columns = vals.view(np.float64).reshape(len(rows), -1).T  # vals' real and imaginary parts
     step = max(1, SPLINE_CHUNK // grid.n_points)
     for start in range(0, len(rows), step):
         parts = _real_parts(rows[start : start + step])
@@ -455,7 +477,7 @@ def _splines_at(grid: Grid, rows: np.ndarray, x: float) -> np.ndarray:
         c0, c1, c2, c3 = _hermite_coefficients(
             inv_h, parts[..., i], s[..., i], s[..., i + 1], slope[..., i]
         )
-        for target, part in zip((vals.real, vals.imag), c3 + c2 * u + c1 * u2 + c0 * (u2 * u)):
+        for target, part in zip(columns, c3 + c2 * u + c1 * u2 + c0 * (u2 * u)):
             target[start : start + step] = part
     return vals
 
@@ -463,7 +485,8 @@ def _splines_at(grid: Grid, rows: np.ndarray, x: float) -> np.ndarray:
 def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:
     """Cubic-spline evaluator for the amplitudes, zero outside the grid.
 
-    `evaluate(x)` returns complex values of x's shape.  Points outside
+    `evaluate(x)` returns values of x's shape: float64 when the amplitudes have no
+    nonzero imaginary part (one real spline), else complex128.  Points outside
     [x_min, x_max], NaN and +/-inf included, give 0.
 
     The spline is scipy's `CubicSpline` (not-a-knot) on the grid, fitted by
@@ -477,7 +500,8 @@ def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:
     c3 + c2 s + c1 s^2 + c0 s^3 with s^3 = s^2 s.  Only the interval search is
     replaced: the knots are uniform, so (x - x_min) / step + 1/2 truncates to
     one of two neighbouring intervals, and one comparison with the knot between
-    them decides.  A real spline gives an imaginary part of +0.
+    them decides.  Cast to complex128, a real spline's values are those of scipy's
+    spline of the complex amplitudes, with an imaginary part of +0.
 
     Coefficients that overflow (a state so narrow that the grid step is near the
     floating-point range, e.g. a probe variance of 1e-300) raise
@@ -508,8 +532,9 @@ def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        out = np.zeros(x.shape, dtype=np.complex128)  # stays 0 where a pass is skipped
-        flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+        out = np.empty(x.shape, dtype=np.complex128 if len(tables) == 2 else np.float64)
+        flat_x = x.reshape(-1)
+        flat_out = out.reshape(-1).view(np.float64).reshape(-1, len(tables))  # one column a part
         # One allocation for all temporaries, reused chunk by chunk: several large
         # ones per call make glibc return the memory to the OS and fault it back in.
         work = np.empty((6, min(flat_x.size, SPLINE_CHUNK)))
@@ -528,7 +553,7 @@ def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:
             np.fmax(s, 0.0, out=s)  # 0 at the sentinels, NaN included; s >= 0 inside
             np.multiply(s, s, out=s2)
             np.multiply(s2, s, out=s3)
-            for target, (c3, c2, c1, c0) in zip((out_c.real, out_c.imag), tables):
+            for target, (c3, c2, c1, c0) in zip(out_c.T, tables):
                 np.multiply(c2.take(k, mode="clip", out=v), s, out=v)
                 v += c3.take(k, mode="clip", out=term)
                 np.multiply(c1.take(k, mode="clip", out=term), s2, out=term)

@@ -105,7 +105,8 @@ def test_beam_splitter_row_blocks_match_one_shot_formula_bitwise(chirp):
     expected = amplitude_interpolator(signal)(y1 * c - y2 * s) * amplitude_interpolator(probe)(
         y1 * s + y2 * c
     )
-    assert np.array_equal(joint.amplitudes.view(np.uint64), expected.view(np.uint64))
+    got, expected = (a.astype(np.complex128) for a in (joint.amplitudes, expected))
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_beam_splitter_builds_row_blocks():
@@ -501,9 +502,11 @@ def test_pipeline_equals_closed_form_single_combo():
 
 
 def cubic_spline_evaluator(wf):
-    """scipy's not-a-knot CubicSpline of the amplitudes, zero outside the grid."""
+    """scipy's not-a-knot CubicSpline of the amplitudes, zero outside the grid.  The
+    amplitudes go in as complex: scipy fits a real y by divisions where its complex fit,
+    like the in-repo one, multiplies by reciprocals (see `_spline_slopes`)."""
     knots, lo, hi = wf.grid.points, wf.grid.x_min, wf.grid.x_max
-    spline = CubicSpline(knots, wf.amplitudes)
+    spline = CubicSpline(knots, wf.amplitudes.astype(np.complex128))
     return lambda x: np.where((x >= lo) & (x <= hi), spline(np.clip(x, lo, hi)), 0.0)
 
 
@@ -530,7 +533,8 @@ def test_staged_pipeline_matches_cubic_spline_stages_bitwise(x0):
     )
     squeezed = cubic_spline_evaluator(shifted)(y / c) / math.sqrt(c)
     expected = q.WaveFunction.normalized(grid, squeezed)
-    assert np.array_equal(staged.amplitudes.view(np.uint64), expected.amplitudes.view(np.uint64))
+    got = staged.amplitudes.astype(np.complex128)
+    assert np.array_equal(got.view(np.uint64), expected.amplitudes.view(np.uint64))
 
 
 # --- conditional output (closed form) ----------------------------------------

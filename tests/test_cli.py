@@ -310,8 +310,29 @@ def test_signal_beyond_float_resolution_exits_3_writing_nothing(tmp_path, capsys
     # sweep wrote G = 0.443 and F = 0.982 at x = 0.5 from 11 distinct points
     out = tmp_path / "run"
     assert main([*command, "--signal", "gaussian:1e16,1", "--out", str(out)]) == 3
-    assert "not above 4 times the float spacing" in capsys.readouterr().err
+    assert "not above 2**16 times the float spacing" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mean", [10.0**k for k in range(4, 14)])
+def test_numeric_sweep_moves_with_the_signal_mean_by_at_most_1e_10_or_exits_3(
+    tmp_path, capsys, mean
+):
+    # F and G do not depend on the mean; with grids refused only within 4 float spacings,
+    # gaussian:1e10,1 was 6.9e-8 and gaussian:1e13,1 1.3e-4 off gaussian:0,1
+    sweep = ["sweep", "--mode", "numeric", "--steps", "3", "--x-min", "0.5", "--x-max", "2",
+             "--phi", "0.7"]
+    assert main([*sweep, "--signal", "gaussian:0,1", "--out", str(tmp_path / "centred")]) == 0
+    out = tmp_path / "moved"
+    code = main([*sweep, "--signal", f"gaussian:{mean!r},1", "--out", str(out)])
+    if code == 3:
+        assert "not above 2**16 times the float spacing" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert code == 0
+    _, centred = read_csv(tmp_path / "centred" / "sweep.csv")
+    _, moved = read_csv(out / "sweep.csv")
+    assert np.abs(moved - centred).max() <= 1e-10
 
 
 def test_usage_errors_exit_2(tmp_path):

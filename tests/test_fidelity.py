@@ -262,6 +262,14 @@ def chirped_cat_ensemble():
     return signal, q.output_ensemble(signal, probe, 0.7, n_outcomes=512)
 
 
+def chirped_signal_ensemble():
+    """Complex psi_s, real K: the chirped cat and the vacuum probe, held in float64."""
+    spec = q.CatSpec(1.8, 0.2025)
+    signal = chirped(q.build_cat(1.8, 0.2025, q.auto_grid([spec], n_points=1024)), 0.9, 0.3)
+    probe = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=1024))
+    return signal, q.output_ensemble(signal, probe, 0.7, n_outcomes=512)
+
+
 def vacuum_ensemble():
     """Criterion 10's vacuum at N = 1024: 1064 non-null rows over 1024 points."""
     signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=1024))
@@ -275,6 +283,7 @@ def vacuum_ensemble():
         (search_cat_ensemble, (406, 1024)),
         (vacuum_ensemble, (1064, 1024)),
         (chirped_cat_ensemble, (234, 1024)),
+        (chirped_signal_ensemble, (234, 1024)),
     ],
 )
 def test_ensemble_factor_reads_as_its_dense_product(make, shape):

@@ -33,14 +33,15 @@ def test_grid_validation():
     with pytest.raises(InvalidParameterError):
         q.Grid(-1.0, 1.0, 8)
     # a step of 0.0098 at a float spacing of 2: 11 distinct points of 2048
-    with pytest.raises(InvalidParameterError, match=r"step 0\.00977, not above 4 times the "
-                       r"float spacing 2 at its bounds"):
+    with pytest.raises(InvalidParameterError, match=r"step 0\.00977, not above 2\*\*16 times "
+                       r"the float spacing 2 at its bounds"):
         q.Grid(1e16 - 10, 1e16 + 10, 2048)
 
 
 @given(
     x_min=st.floats(-1e17, 1e17),
-    spacings=st.floats(0.5, 64.0),  # the step, in float spacings at x_min
+    # the step, in float spacings at x_min: across the 2**16 bound, so that grids construct
+    spacings=st.floats(2.0**15, 2.0**18),
     n=st.integers(16, 4096),
 )
 @settings(max_examples=200, deadline=None)
@@ -234,12 +235,16 @@ def test_interpolator_matches_cubic_spline_bitwise(bounds, phase, sign, variance
     spline = CubicSpline(knots, wf.amplitudes)
     expected = np.where((x >= lo) & (x <= hi), spline(np.clip(x, lo, hi)), 0.0)
     evaluate = q.grids.amplitude_interpolator(wf)
-    assert np.array_equal(evaluate(x).view(np.float64), expected.view(np.float64))
+    # phase 0: one real spline, whose float64 values equal scipy's complex ones cast back
+    got = evaluate(x)
+    assert got.dtype == (np.float64 if phase == 0.0 else np.complex128)
+    got = got.astype(np.complex128)
+    assert np.array_equal(got.view(np.float64), expected.view(np.float64))
     # 2-D input, as beam_splitter_transform passes
-    out = evaluate(x[-40_000:].reshape(200, 200))
+    out = evaluate(x[-40_000:].reshape(200, 200)).astype(np.complex128)
     assert out.shape == (200, 200)
     assert np.array_equal(out.ravel().view(np.float64), expected[-40_000:].view(np.float64))
-    nonfinite = evaluate(np.array([np.nan, np.inf, -np.inf]))
+    nonfinite = evaluate(np.array([np.nan, np.inf, -np.inf])).astype(np.complex128)
     assert np.array_equal(nonfinite.view(np.float64), np.zeros(6))
 
 
@@ -399,7 +404,7 @@ def test_repeated_spline_fits_do_not_grow_memory():
 
 
 def test_singular_spline_band_names_dgttrf(monkeypatch):
-    # a grid's knots are distinct (Grid refuses a step within 4 float spacings), so a
+    # a grid's knots are distinct (Grid refuses a step within 2**16 float spacings), so a
     # singular band is what dgttrf reports: a nonzero info
     dgttrf = _lapack.dgttrf
     monkeypatch.setattr(_lapack, "dgttrf", lambda *band: (dgttrf(*band)[0], 3))
