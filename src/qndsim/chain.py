@@ -157,7 +157,7 @@ def outcome_grid(
 
     n_points (default: the signal's) sets k = max(1, round(r / h)), r the step of n_points
     nodes over the span, capped so that k h is within the filter width sigma_p / tan phi,
-    which p and F must resolve.  The node count follows from span and k: rarely n_points.
+    which p and rho must resolve.  The node count follows from span and k: rarely n_points.
     """
     check_phase(phi)
     t = math.tan(phi)
@@ -182,29 +182,35 @@ def _row_sums(values: np.ndarray, mass: np.ndarray, k: int, rows: int) -> np.nda
     return np.fft.ifft(np.fft.fft(values, size) * mass_hat)[k * (rows - 1) :: -k]
 
 
+def _kernel_samples(probe: WaveFunction, t: float, h: float, first: int, size: int) -> np.ndarray:
+    """kappa[e] = psi_p(t h (first + e)) for e < size, read by an FFT at the power of two
+    >= size.  Refuses, before anything is allocated, an FFT numpy cannot index; first and
+    size are Python ints."""
+    bits = (size - 1).bit_length()
+    if np.dtype(np.complex128).itemsize << bits > np.iinfo(np.intp).max:
+        raise InvalidParameterError(
+            f"probe filter width {math.sqrt(probe.variance()) / t:.3g} needs a kernel of about "
+            f"2**{bits} points at the signal grid step {h:.3g}, more than numpy can index"
+        )
+    return amplitude_interpolator(probe)((np.arange(size) + first) * (t * h))
+
+
 def _outcome_pass(
     signal: WaveFunction, probe: WaveFunction, phi: float, n_outcomes: int | None
 ) -> tuple[Grid, np.ndarray, np.ndarray, int]:
-    """The one kernel pass behind p, F, G and rho, on `outcome_grid(n_points=n_outcomes)`.
+    """The one kernel pass behind p and rho, on `outcome_grid(n_points=n_outcomes)`.
 
     kappa[e] = psi_p(tan(phi) h (e - o - k (M - 1))) on the signal lattice (step h), so
     K(x0_j, y_i) = psi_p(tan(phi) (y_i - x0_j)) = kappa[i + k (M - 1 - j)].  Returns the
     grid, p_raw = t sum_y |K|^2 m (m = |psi_s|^2 w, one `_row_sums` correlation), kappa and
-    the outcome stride k.  Refuses a kernel whose FFT numpy cannot index.
+    the outcome stride k.
     """
     ogrid = outcome_grid(signal, probe, phi, n_points=n_outcomes)
     y0, h, n, m = signal.grid.x_min, signal.grid.step, signal.grid.n_points, ogrid.n_points
     k = round(ogrid.step / h)
     last = round((ogrid.x_min - y0) / h) + k * (m - 1)
     t = math.tan(phi)
-    size = n + k * (m - 1)  # Python ints: checked before numpy sees them
-    bits = (size - 1).bit_length()  # `_row_sums` transforms at 2**bits points
-    if np.dtype(np.complex128).itemsize << bits > np.iinfo(np.intp).max:
-        raise InvalidParameterError(
-            f"probe filter width {math.sqrt(probe.variance()) / t:.3g} needs a kernel of about "
-            f"2**{bits} points at the signal grid step {h:.3g}, more than numpy can index"
-        )
-    kappa = amplitude_interpolator(probe)((np.arange(size) - last) * (t * h))
+    kappa = _kernel_samples(probe, t, h, -last, n + k * (m - 1))  # `_row_sums` transforms it
     mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
     return ogrid, t * _row_sums(np.abs(kappa) ** 2, mass, k, m).real, kappa, k
 

@@ -22,26 +22,39 @@ the quadrature weights and m = |psi_s|^2 w the signal mass:
                     tr rho = int p / Z over non-null x0 are FFT correlations like p;
                     only its spectrum forms the factor rows sqrt(t w / Z) psi_s(x) K(x0, x)
   state fidelity    F = <psi_s|rho|psi_s>, since p(x0) |<psi_s|psi_x0>|^2 = t |sum_y K m|^2
-  distribution fid. G = ( int sqrt(p(x0) / Z) |psi_s(x0)| dx0 )^2 on the same outcomes
+  distribution fid. G = ( int sqrt(p(x0) / Z) |psi_s(x0)| dx0 )^2
 
-One outcome pass (`chain._outcome_pass`) gives the lattice-aligned outcome grid, p, and K
-as one vector kappa with its outcome stride; `_outcome_figures` reads G and rho's weights
-off it, and F is read off rho.  Outcomes with normalized density at most
-NULL_OUTCOME_DENSITY are left out of F and rho.  F, G and rho raise InvalidParameterError
-rather than return values the grids cannot resolve, or raw F, G off [0, 1] by UNIT_SLACK.
+With u = t (x' - x0), t int K(x0, x) K*(x0, x') dx0 = R(t (x - x')), where R(d) = int
+psi_p(u + d) psi_p*(u) du is the probe's amplitude autocorrelation; so rho(x, x') =
+psi_s(x) psi_s*(x') R(t (x - x')) / Z, and F and G need no outcome grid.  The lattice
+route (`_LatticeRoute`) puts the outcomes on the signal grid's lattice (step h, N points)
+and transforms m once: its rfft on 2N points and its autocorrelation c(d) = sum_i m_i
+m_(i+d) (nothing wraps).  Any probe is sampled once, kappa(e) = psi_p(e t h), on every
+lattice lag e its grid reaches, and then, by Wiener-Khinchin and one FFT correlation each,
 
-For a Gaussian probe the chain acts on m as one Gaussian filter of width sigma_f =
-sigma_p / tan phi, so the filter route (`_GaussianFilter`, behind the trade-off curve and
-the transfer route) needs no probe and no outcome grid.  On the signal grid (step h, N
-points), with c(d) = sum_i m_i m_(i+d) and p and c by FFT on 2N points (nothing wraps):
-
-  state fidelity    F = sum_d c(d) exp(-(d h)^2 / (8 sigma_f^2))
-  outcome density   p_i = sum_j m_j N(y_i - y_j; sigma_f^2)
-  its total         Z = sum m (1 + 2 sum_(j>=1) exp(-2 pi^2 sigma_f^2 j^2 / h^2))
+  outcome density   p_i = sum_j m_j P(j - i),  P(d) = t |kappa(d)|^2
+  autocorrelation   R(d) = t h sum_e kappa(e + d) kappa*(e),  Z' = R(0) = h sum_d P(d)
+  state fidelity    F = sum_d c(d) Re R(d) / Z'
+  its total         Z = Z' sum m
   distribution fid. G = ( sum_i w_i sqrt(p_i / Z) |psi_s(y_i)| )^2
 
-Z is p's trapezoid sum over the whole lattice, by Poisson summation: p's tails may leave
-the grid.
+These are the outcome sums at outcome stride 1, exactly.  Z is p's trapezoid sum over the
+whole lattice, so p's tails may leave the grid.  Z' is the lattice sum of the sampled
+probe, not its norm 1, so that p / Z integrates to 1 on the lattice whatever the spline
+error of |psi_p|^2.  For a Gaussian probe the chain acts on m as one Gaussian filter of
+width sigma_f = sigma_p / tan phi, and P, R and Z' are analytic (`_LatticeRoute.pair`,
+behind the trade-off curve and the transfer route), so no probe is built:
+
+  P(d) = N(d h; sigma_f^2),  Z' = 1 + 2 sum_(j>=1) exp(-2 pi^2 sigma_f^2 j^2 / h^2)
+  (Poisson summation), and F's R(d) / Z' is the continuum's exp(-(d h)^2 / (8 sigma_f^2));
+  the lattice's differs by at most 4 exp(-2 pi^2 sigma_f^2 / h^2), 1.1e-8 at sigma_f = h.
+
+`output_ensemble` keeps an outcome grid: one outcome pass (`chain._outcome_pass`) gives the
+lattice-aligned grid, p, and K as one vector kappa with its outcome stride, so its
+<psi_s|rho|psi_s> is a check of F independent of the lattice route.  Outcomes with
+normalized density at most NULL_OUTCOME_DENSITY are left out of rho.  F, G and rho raise
+InvalidParameterError rather than return values the grids cannot resolve, or raw F, G off
+[0, 1] by UNIT_SLACK.
 """
 
 from __future__ import annotations
@@ -52,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .chain import NULL_OUTCOME_DENSITY, _outcome_pass, _row_sums, check_phase
+from .chain import NULL_OUTCOME_DENSITY, _kernel_samples, _outcome_pass, _row_sums, check_phase
 from .errors import GridMismatchError, InvalidParameterError
 from .grids import Distribution, Grid, WaveFunction, amplitude_interpolator
 
@@ -84,68 +97,26 @@ def _check_filter_width(width: float, step: float) -> None:
     """Refuse a probe filter (width sigma_p / tan phi) narrower than the signal grid step."""
     if width < step:
         raise InvalidParameterError(
-            f"probe filter width {width:.3g} is below the signal grid step {step:.3g}: "
-            "F and G are not resolved; use a finer signal grid"
+            f"probe filter width {width:.3g} is below the signal grid step {step:.3g}, "
+            "so it is not resolved; use a finer signal grid"
         )
 
 
-def _outcome_figures(
-    signal: WaveFunction, probe: WaveFunction, phi: float, n_outcomes: int
-) -> tuple[float, DensityMatrixGrid]:
-    """Raw G and the output ensemble rho from one outcome pass; raises
-    InvalidParameterError unless the probe filter (width sigma_p / tan phi) spans a signal
-    grid step and the outcome grid's trapezoid of |psi_s|^2 is 1 within OUTCOME_MASS_SLACK."""
-    check_phase(phi)
-    t = math.tan(phi)
-    _check_filter_width(math.sqrt(probe.variance()) / t, signal.grid.step)
-    ogrid, p_raw, kappa, stride = _outcome_pass(signal, probe, phi, n_outcomes)
-    s_abs = np.abs(amplitude_interpolator(signal)(ogrid.points))
-    mass = float(ogrid.weights @ s_abs**2)
-    if abs(mass - 1.0) > OUTCOME_MASS_SLACK:
-        raise InvalidParameterError(
-            f"outcome grid (step {ogrid.step:.3g}) integrates |psi_s|^2 to {mass:.3g}, not "
-            f"1 +/- {OUTCOME_MASS_SLACK}: F and G are not resolved; use more outcome nodes"
-        )
-    density = Distribution.normalized(ogrid, p_raw).density
-    z = float(ogrid.weights @ p_raw)
-    weight = np.where(density > NULL_OUTCOME_DENSITY, t * ogrid.weights / z, 0.0)
-    coeff = float(ogrid.weights @ (np.sqrt(density) * s_abs))
-    return coeff * coeff, DensityMatrixGrid(signal.grid, signal.amplitudes, kappa, stride, weight)
-
-
-def fidelity_pair(
-    signal: WaveFunction,
-    probe: WaveFunction,
-    phi: float,
-    n_outcomes: int = OUTCOME_NODES,
-) -> FidelityPair:
+def fidelity_pair(signal: WaveFunction, probe: WaveFunction, phi: float) -> FidelityPair:
     """F, the outcome-averaged overlap of the conditional outputs with the input, and G, the
-    squared Bhattacharyya coefficient between p(x0) and |psi_s(x)|^2, from one outcome pass:
-    F = <psi_s|rho|psi_s> of the output ensemble.  Null outcomes are skipped in F (their
-    weight is negligible by construction)."""
-    g_raw, rho = _outcome_figures(signal, probe, phi, n_outcomes)
-    return FidelityPair(F=_checked_unit(rho.expectation(signal)), G=_checked_unit(g_raw))
+    squared Bhattacharyya coefficient between p(x0) and |psi_s(x)|^2, for any probe: the
+    lattice route `_LatticeRoute.probe_pair`, with no outcome grid."""
+    return _LatticeRoute(signal).probe_pair(probe, phi)
 
 
-def state_fidelity(
-    signal: WaveFunction,
-    probe: WaveFunction,
-    phi: float,
-    n_outcomes: int = OUTCOME_NODES,
-) -> float:
+def state_fidelity(signal: WaveFunction, probe: WaveFunction, phi: float) -> float:
     """State fidelity F, the outcome-averaged overlap with the input: `fidelity_pair(...).F`."""
-    return fidelity_pair(signal, probe, phi, n_outcomes).F
+    return fidelity_pair(signal, probe, phi).F
 
 
-def distribution_fidelity(
-    signal: WaveFunction,
-    probe: WaveFunction,
-    phi: float,
-    n_outcomes: int = OUTCOME_NODES,
-) -> float:
-    """Distribution fidelity G between p(x0) and |psi_s(x)|^2: `fidelity_pair(...).G`,
-    without reading F off rho."""
-    return _checked_unit(_outcome_figures(signal, probe, phi, n_outcomes)[0])
+def distribution_fidelity(signal: WaveFunction, probe: WaveFunction, phi: float) -> float:
+    """Distribution fidelity G between p(x0) and |psi_s(x)|^2: `fidelity_pair(...).G`."""
+    return fidelity_pair(signal, probe, phi).G
 
 
 def _check_ratio(x: float) -> None:
@@ -186,16 +157,17 @@ def state_fidelity_via_transfer(signal: WaveFunction, phi: float, sigma_p: float
     Gaussian probe of wavefunction-density width sigma_p; the signal can be
     anything.  T depends on y' - y'' alone, so the quadrature is summed over lags against
     the autocorrelation of the signal mass: T is evaluated on the N lags, not on an
-    N x N grid.  Cross-checks the outcome-integral route.
+    N x N grid.  Cross-checks the lattice route and the output ensemble.
     """
     check_phase(phi)
-    route = _GaussianFilter(signal)
+    route = _LatticeRoute(signal)
     return _checked_unit(route.state_fidelity(transfer_function(route.lags, 0.0, phi, sigma_p)))
 
 
-class _GaussianFilter:
-    """The filter route: a signal's mass m = |psi_s|^2 w transformed once (its rfft on 2N
-    points and its autocorrelation c), then read per filter width sigma_f by `pair`."""
+class _LatticeRoute:
+    """The lattice route: a signal's mass m = |psi_s|^2 w transformed once (its rfft on 2N
+    points and its autocorrelation c), then read per Gaussian filter width by `pair` and
+    per probe by `probe_pair`; both hand P, R and Z' to `_figures`."""
 
     def __init__(self, signal: WaveFunction):
         grid, n = signal.grid, signal.grid.n_points
@@ -211,21 +183,46 @@ class _GaussianFilter:
         c = self.autocorrelation
         return float(2.0 * (c @ transfer) - c[0] * transfer[0])
 
+    def _figures(self, lagged: np.ndarray, transfer: np.ndarray, z_lattice: float) -> FidelityPair:
+        """F and G from P(-l) at the circular lags l = 0 .. N - 1, (a zero), 1 - N .. -1,
+        F's transfer R(d) / Z' at the lags d = 0 .. N - 1, and Z' = h sum_d P(d)."""
+        p = np.fft.irfft(self.mass_hat * np.fft.rfft(lagged), lagged.size)[: self.lags.size]
+        p = np.maximum(p, 0.0)  # FFT roundoff can dip p's far tails below 0
+        coeff = float(self.weighted_abs @ np.sqrt(p / (self.mass_total * z_lattice)))
+        f_raw = self.state_fidelity(transfer)
+        return FidelityPair(F=_checked_unit(f_raw), G=_checked_unit(coeff * coeff))
+
     def pair(self, width: float) -> FidelityPair:
         """F and G through a Gaussian filter of width sigma_f, refused below one grid step."""
         _check_filter_width(width, self.step)
         scaled_sq = np.square(self.lags / width)
         kernel = np.exp(-0.5 * scaled_sq) / (width * math.sqrt(2.0 * math.pi))
         lagged = np.concatenate((kernel, [0.0], kernel[:0:-1]))  # lags 0 .. N - 1, 1 - N .. -1
-        p = np.fft.irfft(self.mass_hat * np.fft.rfft(lagged), lagged.size)[: kernel.size]
-        # Z: for s = sigma_f / h >= 1 the Poisson terms j >= 2 (below 1e-34) leave
+        # Z': for s = sigma_f / h >= 1 the Poisson terms j >= 2 (below 1e-34) leave
         # 1 + 2 exp(-2 pi^2 s^2) unchanged; s s past the float range is inf, whose exp is 0
         s = width / self.step
-        z = self.mass_total * (1.0 + 2.0 * math.exp(-2.0 * math.pi**2 * s * s))
-        p = np.maximum(p, 0.0)  # FFT roundoff can dip p's far tails below 0
-        coeff = float(self.weighted_abs @ np.sqrt(p / z))
-        f_raw = self.state_fidelity(np.exp(-0.125 * scaled_sq))
-        return FidelityPair(F=_checked_unit(f_raw), G=_checked_unit(coeff * coeff))
+        z_lattice = 1.0 + 2.0 * math.exp(-2.0 * math.pi**2 * s * s)
+        return self._figures(lagged, np.exp(-0.125 * scaled_sq), z_lattice)
+
+    def probe_pair(self, probe: WaveFunction, phi: float) -> FidelityPair:
+        """F and G of any probe at phi, refused when its filter sigma_p / tan phi is below
+        one grid step: kappa(e) = psi_p(e t h) is sampled once, on every lattice lag e the
+        probe's grid reaches and on the lags |e| < N that P is read at; R transforms the
+        reached lags alone."""
+        check_phase(phi)
+        t, h, n = math.tan(phi), self.step, self.lags.size
+        _check_filter_width(math.sqrt(probe.variance()) / t, h)
+        lowest = math.ceil(probe.grid.x_min / (t * h))  # the first lag the probe's grid reaches
+        first = min(lowest, 1 - n)
+        # N - 1 zero lags past the last one reached, so that R's lags d < N do not wrap
+        last = max(math.floor(probe.grid.x_max / (t * h)) + n - 1, n - 1)
+        kappa = _kernel_samples(probe, t, h, first, last - first + 1)
+        kappa_hat = np.fft.fft(kappa[lowest - first :], 1 << (last - lowest).bit_length())
+        kappa_hat *= kappa_hat.conj()
+        r = np.fft.ifft(kappa_hat)[:n].real * (t * h)  # Re R(d), d = 0 .. N - 1
+        power = t * np.abs(kappa[1 - n - first : n - first]) ** 2  # P(d), d = 1 - N .. N - 1
+        lagged = np.concatenate((power[n - 1 :: -1], [0.0], power[: n - 1 : -1]))
+        return self._figures(lagged, r / r[0], r[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,9 +287,23 @@ def output_ensemble(
 ) -> DensityMatrixGrid:
     """Outcome-averaged output state rho(x, x') = int p(x0) psi_x0(x) psi_x0*(x') dx0.
 
-    Held as its generator: psi_s, the kernel vector kappa and the outcome weights t w / Z;
-    trace and <psi|rho|psi> are FFT correlations of kappa, and only `rows` (behind
-    `min_eigenvalue`) forms the M' x N factor.  Raises InvalidParameterError on grids that
-    cannot resolve the probe filter, as F does.
+    Held as its generator: psi_s, the kernel vector kappa and the outcome weights t w / Z
+    from one outcome pass; trace and <psi|rho|psi> are FFT correlations of kappa, and only
+    `rows` (behind `min_eigenvalue`) forms the M' x N factor.  Raises InvalidParameterError
+    unless the probe filter (width sigma_p / tan phi) spans a signal grid step and the
+    outcome grid's trapezoid of |psi_s|^2 is 1 within OUTCOME_MASS_SLACK.
     """
-    return _outcome_figures(signal, probe, phi, n_outcomes)[1]
+    check_phase(phi)
+    t = math.tan(phi)
+    _check_filter_width(math.sqrt(probe.variance()) / t, signal.grid.step)
+    ogrid, p_raw, kappa, stride = _outcome_pass(signal, probe, phi, n_outcomes)
+    mass = float(ogrid.weights @ np.abs(amplitude_interpolator(signal)(ogrid.points)) ** 2)
+    if abs(mass - 1.0) > OUTCOME_MASS_SLACK:
+        raise InvalidParameterError(
+            f"outcome grid (step {ogrid.step:.3g}) integrates |psi_s|^2 to {mass:.3g}, not "
+            f"1 +/- {OUTCOME_MASS_SLACK}: rho is not resolved; use more outcome nodes"
+        )
+    density = Distribution.normalized(ogrid, p_raw).density
+    z = float(ogrid.weights @ p_raw)
+    weight = np.where(density > NULL_OUTCOME_DENSITY, t * ogrid.weights / z, 0.0)
+    return DensityMatrixGrid(signal.grid, signal.amplitudes, kappa, stride, weight)

@@ -27,7 +27,7 @@ from .errors import (
 from .fidelity import (
     FidelityPair,
     _check_ratio,
-    _GaussianFilter,
+    _LatticeRoute,
     gaussian_distribution_fidelity,
     gaussian_state_fidelity,
 )
@@ -175,12 +175,12 @@ def numeric_trade_off_curve(
     with the index and x attached.
     """
     check_phase(phi)
-    route, sigma_s = _GaussianFilter(signal), math.sqrt(signal.variance())
+    route, sigma_s = _LatticeRoute(signal), math.sqrt(signal.variance())
     return [_ratio_pair(route, sigma_s, x, point=i) for i, x in enumerate(xs)]
 
 
 def _ratio_pair(
-    route: _GaussianFilter, sigma_s: float, x: float, point: int | None = None
+    route: _LatticeRoute, sigma_s: float, x: float, point: int | None = None
 ) -> FidelityPair:
     """(F, G) of `route` at filter ratio x (width x sigma_s); a failure names x, and the
     curve's point index when one is given."""
@@ -239,5 +239,5 @@ def numeric_trade_off_report(
     point per x the search asks for; the signal is transformed once, and no probe or
     outcome grid is built."""
     check_phase(phi)
-    route, sigma_s = _GaussianFilter(signal), math.sqrt(signal.variance())
+    route, sigma_s = _LatticeRoute(signal), math.sqrt(signal.variance())
     return _trade_off_report(lambda x: _ratio_pair(route, sigma_s, x), lo, hi, tol)

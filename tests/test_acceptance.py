@@ -199,8 +199,8 @@ def test_criterion_11_non_gaussian_property_suite():
     f_vals, g_vals = [], []
     for w in widths:
         probe = build(q.GaussianSpec(0.0, (w * math.tan(QUARTER_PI)) ** 2), n_points=1024)
-        f_vals.append(q.state_fidelity(cat, probe, QUARTER_PI, n_outcomes=512))
-        g_vals.append(q.distribution_fidelity(cat, probe, QUARTER_PI, n_outcomes=512))
+        f_vals.append(q.state_fidelity(cat, probe, QUARTER_PI))
+        g_vals.append(q.distribution_fidelity(cat, probe, QUARTER_PI))
     f_vals, g_vals = np.array(f_vals), np.array(g_vals)
     totals = f_vals + g_vals
     monotone = bool(np.all(np.diff(f_vals) >= 0) and np.all(np.diff(g_vals) <= 0))

@@ -246,9 +246,7 @@ def test_outcome_grid_lies_on_signal_lattice(signal_spec, probe_var, phi, n_outc
         assert ogrid.x_min < signal.grid.x_min
 
 
-@pytest.mark.parametrize(
-    "route", [q.homodyne_distribution, q.state_fidelity, q.distribution_fidelity, q.output_ensemble]
-)
+@pytest.mark.parametrize("route", [q.homodyne_distribution, q.output_ensemble])
 def test_zero_outcome_nodes_raises_instead_of_taking_the_default(route):
     vac = build(VACUUM, q.auto_grid([VACUUM], n_points=256))
     with pytest.raises(InvalidParameterError, match="n_points >= 16, got 0"):

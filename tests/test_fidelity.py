@@ -144,21 +144,61 @@ def test_distribution_fidelity_anti_squeezed_regime():
 
 
 def test_state_fidelity_outcome_refinement_is_converged():
+    # F read off rho, the one F that still depends on an outcome grid
     signal, probe = gaussian_pair(1.0)
-    coarse = q.state_fidelity(signal, probe, QUARTER_PI, n_outcomes=1024)
-    fine = q.state_fidelity(signal, probe, QUARTER_PI, n_outcomes=2048)
+    coarse = q.output_ensemble(signal, probe, QUARTER_PI, n_outcomes=1024).expectation(signal)
+    fine = q.output_ensemble(signal, probe, QUARTER_PI, n_outcomes=2048).expectation(signal)
     assert abs(coarse - fine) < 1e-4
 
 
+ROUTES = [q.state_fidelity, q.distribution_fidelity, fidelity_pair, q.output_ensemble]
+
+
 @pytest.mark.parametrize(
-    "route", [q.state_fidelity, q.distribution_fidelity, fidelity_pair, q.output_ensemble]
+    "x, unresolved, route",
+    [(0.01, "filter width", route) for route in ROUTES]
+    + [(100.0, "outcome grid", q.output_ensemble)],
 )
-@pytest.mark.parametrize("x, unresolved", [(0.01, "filter width"), (100.0, "outcome grid")])
-def test_unresolved_grids_raise(route, x, unresolved):
+def test_unresolved_grids_raise(x, unresolved, route):
     # x = 0.01: filter 0.005 below the signal step 0.039; x = 100: outcome step 6.3, sigma_s 0.5
     signal, probe = gaussian_pair(x, n_points=256)
+    args = {"n_outcomes": 128} if route is q.output_ensemble else {}
     with pytest.raises(InvalidParameterError, match=unresolved):
-        route(signal, probe, QUARTER_PI, n_outcomes=128)
+        route(signal, probe, QUARTER_PI, **args)
+
+
+@pytest.mark.parametrize("route", ROUTES[:3])
+def test_lattice_route_resolves_what_rho_refuses(route):
+    # x = 100: output_ensemble refuses its outcome step of 6.3; F and G need no outcome grid
+    signal, probe = gaussian_pair(100.0, n_points=256)
+    pair = fidelity_pair(signal, probe, QUARTER_PI)
+    expected = {q.state_fidelity: pair.F, q.distribution_fidelity: pair.G}.get(route, pair)
+    assert route(signal, probe, QUARTER_PI) == expected
+    # 2.0e-12 from the closed form in F, 1.7e-9 in G
+    assert abs(pair.F - q.gaussian_state_fidelity(100.0)) < 1e-8
+    assert abs(pair.G - q.gaussian_distribution_fidelity(100.0)) < 1e-8
+
+
+def test_wide_probe_fidelities_match_the_closed_forms():
+    # x = 200 (probe variance 1e4): G on 1024 outcome nodes is 3.5e-5 off here, with no
+    # refusal; the lattice route is 8.9e-16 off in F and 1.7e-13 in G
+    signal, probe = gaussian_pair(200.0)
+    pair = fidelity_pair(signal, probe, QUARTER_PI)
+    assert abs(pair.F - q.gaussian_state_fidelity(200.0)) < 1e-10
+    assert abs(pair.G - q.gaussian_distribution_fidelity(200.0)) < 1e-10
+
+
+def test_fidelity_pair_refuses_a_kernel_numpy_cannot_index_before_allocating_it():
+    signal, probe = gaussian_pair(2e100)  # probe variance 1e200
+    route = qndsim.fidelity._LatticeRoute(signal)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError, match="more than numpy can index"):
+            route.probe_pair(probe, QUARTER_PI)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5  # 50 kB: probe.variance() on 2048 points; the kernel needs 2**345
 
 
 def test_fidelities_monotone_in_filter_width():
@@ -167,8 +207,8 @@ def test_fidelities_monotone_in_filter_width():
     for x in (0.3, 0.7, 1.5, 3.0, 6.0):
         probe_spec = q.GaussianSpec(0.0, (x * SIGMA_S) ** 2)
         probe = q.build_gaussian(probe_spec, q.auto_grid([probe_spec], n_points=1024))
-        f_vals.append(q.state_fidelity(signal, probe, QUARTER_PI, n_outcomes=512))
-        g_vals.append(q.distribution_fidelity(signal, probe, QUARTER_PI, n_outcomes=512))
+        f_vals.append(q.state_fidelity(signal, probe, QUARTER_PI))
+        g_vals.append(q.distribution_fidelity(signal, probe, QUARTER_PI))
     assert np.all(np.diff(f_vals) > 0)
     assert np.all(np.diff(g_vals) < 0)
 
@@ -301,10 +341,34 @@ def test_ensemble_factor_reads_as_its_dense_product(make, shape):
     assert abs(rho.min_eigenvalue() - dense_eig) < 1e-13
 
 
+@pytest.mark.parametrize("variance, phi", [(0.3, 0.7), (4.0, 0.5)])
+@pytest.mark.parametrize("chirp, bound", [(False, 1e-10), (True, 1e-8)])
+def test_ensemble_matches_the_probe_autocorrelation_oracle(variance, phi, chirp, bound):
+    """rho(x, x') = psi_s(x) psi_s*(x') R(t (x - x')), element by element, with no outcome
+    grid and no lattice: R(d) = int psi_p(u + d) psi_p*(u) du is the probe's amplitude
+    autocorrelation, and for psi_p = g exp(i (a u^2 + b u)), |g|^2 = N(0, v), it is
+    R(d) = exp(i b d - d^2 / (8 v) - 2 a^2 v d^2), with R(0) = 1 = Z'."""
+    spec, probe_spec = q.CatSpec(1.8, 0.2025), q.GaussianSpec(0.0, variance)
+    signal = q.build_cat(1.8, 0.2025, q.auto_grid([spec], n_points=512))
+    probe = q.build_gaussian(probe_spec, q.auto_grid([probe_spec], n_points=1024))
+    rate, slope = (0.8 / variance, 0.3 / math.sqrt(variance)) if chirp else (0.0, 0.0)
+    if chirp:
+        probe = chirped(probe, rate, slope)
+    rows = q.output_ensemble(signal, probe, phi, n_outcomes=1024).rows
+    lag = math.tan(phi) * (signal.grid.points[:, None] - signal.grid.points[None, :])
+    autocorrelation = np.exp(
+        1j * slope * lag - lag**2 / (8.0 * variance) - 2.0 * rate**2 * variance * lag**2
+    )
+    oracle = np.outer(signal.amplitudes, np.conj(signal.amplitudes)) * autocorrelation
+    # at most 1.5e-11 for the Gaussian probes and 4.3e-9 for the chirped ones, the spline
+    # error of the chirped amplitude
+    assert np.abs(rows.T @ rows.conj() - oracle).max() < bound
+
+
 def ensemble_peak(signal, probe, phi, n_outcomes=qndsim.fidelity.OUTCOME_NODES):
     """tracemalloc peak of output_ensemble, expectation and trace; the splines are fitted
     beforehand, outside the measured window."""
-    q.state_fidelity(signal, probe, phi, n_outcomes)
+    q.grids.amplitude_interpolator(signal), q.grids.amplitude_interpolator(probe)
     tracemalloc.start()
     try:
         rho = q.output_ensemble(signal, probe, phi, n_outcomes)
@@ -334,10 +398,10 @@ def test_ensemble_at_8192_points_matches_state_fidelity():
     signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=8192))
     probe = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=512))
     rho = q.output_ensemble(signal, probe, QUARTER_PI, n_outcomes=256)
-    fidelity = q.state_fidelity(signal, probe, QUARTER_PI, n_outcomes=256)
+    fidelity = q.state_fidelity(signal, probe, QUARTER_PI)
     assert abs(rho.expectation(signal) - fidelity) < 1e-12
-    # F is <psi_s|rho|psi_s>, so the closed form at x = 1 is the independent reference:
-    # sqrt(2/3), 5.5e-10 away on 256 outcomes
+    # F is the lattice route's, rho's is read off 256 outcomes: 8.9e-16 apart; both are
+    # 5.5e-10 from the closed form sqrt(2/3) at x = 1
     assert abs(fidelity - math.sqrt(2.0 / 3.0)) < 1e-9
 
 
@@ -384,11 +448,11 @@ def test_cat_fidelity_matches_its_closed_form(separation, component_variance, ph
     probe_spec = q.GaussianSpec(0.0, x * x * variance * math.tan(phi) ** 2)
     probe = q.build_gaussian(probe_spec, q.auto_grid([probe_spec], n_points=1024))
     oracle = cat_oracle_state_fidelity(separation, component_variance, x)
-    pair = fidelity_pair(cat, probe, phi, n_outcomes=512)
-    # at most 7.3e-11 over these cases; at 256 points 1.9e-8, and two cases are refused there
+    pair = fidelity_pair(cat, probe, phi)
+    # at most 7.3e-11 over these cases
     assert abs(pair.F - oracle) < 1e-9
-    # G against the analytic-density oracle: at most 5.5e-10 over these cases (the (2.5,
-    # 0.05) cat at x = 4, on the coarsest outcome step), 8.3e-11 at 1024 outcomes
+    # G against the analytic-density oracle: at most 8.3e-11 over these cases (the (0, 0.25)
+    # cat at x = 4); rho's F on 512 outcomes is at most 7.3e-11 from the oracle
     g_oracle = cat_oracle_distribution_fidelity(separation, component_variance, x)
     assert abs(pair.G - g_oracle) < 1e-9
     rho = q.output_ensemble(cat, probe, phi, n_outcomes=512)
@@ -419,8 +483,8 @@ def test_numeric_curve_matches_the_cat_oracle(separation, component_variance, ph
     spec = q.CatSpec(separation, component_variance)
     cat = q.build_cat(separation, component_variance, q.auto_grid([spec], n_points=1024))
     (pair,) = q.numeric_trade_off_curve(cat, [x], phi)
-    # at most 4.4e-16 in F and 3.7e-13 in G over these cases; the kernel route on a probe
-    # of 2048 points and 1024 outcomes is off by up to 4.5e-12 in F and 8.6e-12 in G
+    # at most 4.4e-16 in F and 3.7e-13 in G over these cases; the lattice route on a probe
+    # of 2048 points is off by up to 4.5e-12 in F and 8.6e-12 in G
     assert abs(pair.F - cat_oracle_state_fidelity(separation, component_variance, x)) < 1e-13
     assert abs(pair.G - cat_oracle_distribution_fidelity(separation, component_variance, x)) < 2e-12
 
@@ -452,16 +516,28 @@ def per_outcome_state_fidelity(signal, probe, phi, n_outcomes):
     return total
 
 
-def direct_sum_distribution_fidelity(signal, probe, phi, n_outcomes):
-    """G with p summed directly over the one-shot kernel psi_p(t (y - x0)): no FFT."""
-    t = math.tan(phi)
-    ogrid = q.outcome_grid(signal, probe, phi, n_points=n_outcomes)
-    y, x0 = signal.grid.points, ogrid.points
-    kernel = q.grids.amplitude_interpolator(probe)(t * (y[None, :] - x0[:, None]))
-    mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
-    p = q.Distribution.normalized(ogrid, t * (np.abs(kernel) ** 2 @ mass))
-    s_abs = np.abs(q.grids.amplitude_interpolator(signal)(x0))
-    return float(ogrid.weights @ (np.sqrt(p.density) * s_abs)) ** 2
+def dense_stride_one_pair(signal, probe, phi):
+    """F and G summed outcome by outcome over every lattice node x0 = y_0 + o h that the
+    kernel reaches (outcome stride 1), each row K(x0, y) = psi_p(t (y - x0)) evaluated
+    directly, 256 outcomes at a time: no FFT and no kernel vector.  Z is h sum p over
+    these outcomes; G's integral runs over the outcomes at the signal's nodes, with the
+    signal's weights (psi_s is 0 off its grid)."""
+    t, grid, n = math.tan(phi), signal.grid, signal.grid.n_points
+    lo = min(math.floor(-probe.grid.x_max / (t * grid.step)) - 1, 0)
+    hi = max(math.ceil((grid.x_max - grid.x_min - probe.grid.x_min / t) / grid.step) + 1, n - 1)
+    x0 = grid.x_min + grid.step * np.arange(lo, hi + 1)  # the nodes' own bits on the grid
+    mass = np.abs(signal.amplitudes) ** 2 * grid.weights
+    kernel = q.grids.amplitude_interpolator(probe)
+    p, sums = [], []
+    for start in range(0, x0.size, 256):
+        rows = kernel(t * (grid.points[None, :] - x0[start : start + 256, None]))
+        p.append(t * (np.abs(rows) ** 2 @ mass))
+        sums.append(rows @ mass)
+    p, sums = np.concatenate(p), np.concatenate(sums)
+    z = grid.step * p.sum()
+    f = t * grid.step / z * float(np.sum(np.abs(sums) ** 2))
+    coeff = grid.weights @ (np.sqrt(p[-lo : n - lo] / z) * np.abs(signal.amplitudes))
+    return f, float(coeff) ** 2
 
 
 @given(
@@ -475,24 +551,63 @@ def test_cat_kernel_routes_match_per_outcome_reference(separation, component_var
     spec = q.CatSpec(separation, component_variance)
     cat = q.build_cat(separation, component_variance, q.auto_grid([spec], n_points=256))
     probe = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=256))
-    fidelity = q.state_fidelity(cat, probe, phi, n_outcomes=128)
+    fidelity = q.state_fidelity(cat, probe, phi)
+    # the lattice F against 128 outcomes, one conditional output at a time, and against rho
+    # on the same outcomes: 5.2e-13 at most over 150 uniform draws and the corners
     assert abs(fidelity - per_outcome_state_fidelity(cat, probe, phi, 128)) < 1e-12
     rho = q.output_ensemble(cat, probe, phi, n_outcomes=128)
     assert abs(rho.expectation(cat) - fidelity) < 1e-12
     # independent route: double quadrature against the transfer kernel; 1.9e-8 at most over
     # 300 uniform draws and the 8 corners of the domain
     assert abs(fidelity - q.state_fidelity_via_transfer(cat, phi, SIGMA_S)) < 1e-7
-    # G against the direct-sum route: 5.6e-16 at most over 300 uniform draws and the corners
-    g_val = q.distribution_fidelity(cat, probe, phi, n_outcomes=128)
-    assert abs(g_val - direct_sum_distribution_fidelity(cat, probe, phi, 128)) < 1e-14
+    # G against the stride-1 direct sum: 8.9e-16 at most over 300 uniform draws and the corners
+    g_val = q.distribution_fidelity(cat, probe, phi)
+    assert abs(g_val - dense_stride_one_pair(cat, probe, phi)[1]) < 1e-14
 
 
 def test_distribution_fidelity_matches_direct_sum_gaussian():
     signal, probe = gaussian_pair(0.8, n_points=1024, phi=0.6)
     pair = fidelity_pair(signal, probe, 0.6)
-    # equal here to the last bit; the closed form is 1.5e-11 away
-    assert abs(pair.G - direct_sum_distribution_fidelity(signal, probe, 0.6, 1024)) < 1e-14
+    # 2.2e-16 apart here; the closed form is 1.5e-11 away
+    assert abs(pair.G - dense_stride_one_pair(signal, probe, 0.6)[1]) < 1e-14
     assert abs(pair.G - q.gaussian_distribution_fidelity(0.8)) < 1e-10
+
+
+def probe_kinds(variance):
+    """Probes of one scale on 2048 points: Gaussian, displaced, chirped and a cat."""
+    sigma = math.sqrt(variance)
+    specs = (q.GaussianSpec(0.0, variance), q.GaussianSpec(0.7 * sigma, variance),
+             q.CatSpec(1.5 * sigma, 0.3 * variance))
+    gaussian, displaced, cat = (q.build_state(s, q.auto_grid([s], n_points=2048)) for s in specs)
+    chirp = chirped(gaussian, 0.8 / variance, 0.3 / sigma)
+    return {"gaussian": gaussian, "displaced": displaced, "chirped": chirp, "cat": cat}
+
+
+def cat_signal():
+    spec = q.CatSpec(1.8, 0.2025)
+    return q.build_cat(1.8, 0.2025, q.auto_grid([spec], n_points=1024))
+
+
+def lopsided_cat_signal():
+    """The cat under exp(0.3 x): a mirror-symmetric |psi_s| leaves G unchanged when p is
+    mirrored, so only a lopsided one sees the sign of P's lag."""
+    cat = cat_signal()
+    return q.WaveFunction.normalized(cat.grid, cat.amplitudes * np.exp(0.3 * cat.grid.points))
+
+
+@pytest.mark.parametrize(
+    "make_signal, variance, phi",
+    [(cat_signal, 0.3, 0.7), (cat_signal, 1.0, 0.3), (cat_signal, 0.05, 1.0),
+     (lopsided_cat_signal, 0.3, 0.7)],
+)
+def test_lattice_route_matches_dense_stride_one_reference(make_signal, variance, phi):
+    signal = make_signal()
+    for kind, probe in probe_kinds(variance).items():
+        pair = fidelity_pair(signal, probe, phi)
+        f_ref, g_ref = dense_stride_one_pair(signal, probe, phi)
+        # at most 3.3e-16 in F and 4.4e-16 in G here
+        assert abs(pair.F - f_ref) < 1e-12, kind
+        assert abs(pair.G - g_ref) < 1e-12, kind
 
 
 def test_numeric_curve_makes_no_outcome_pass(monkeypatch):
@@ -510,6 +625,8 @@ def test_numeric_curve_makes_no_outcome_pass(monkeypatch):
     assert len(pairs) == 3
     assert passes == []  # the filter route builds no probe and no outcome grid
     probe = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=256))
+    fidelity_pair(signal, probe, QUARTER_PI)
+    assert passes == []  # nor does the lattice route of a probe
     q.output_ensemble(signal, probe, QUARTER_PI, n_outcomes=128)
     assert passes == [128]  # one kernel evaluation for the weights and rho alike
 

@@ -209,10 +209,10 @@ def test_numeric_curve_maps_each_ratio_to_its_gaussian_probe():
     for x, pair in zip(xs, pairs):
         spec = q.GaussianSpec(0.0, (x * sigma_s * math.tan(phi)) ** 2)
         probe = q.build_gaussian(spec, q.auto_grid([spec], n_points=512))
-        kernel_route = fidelity_pair(signal, probe, phi, n_outcomes=256)
-        # the filter route against the kernel route on the x probe: 5.3e-10 in F, 1.2e-9 in G
-        assert abs(pair.F - kernel_route.F) < 1e-8
-        assert abs(pair.G - kernel_route.G) < 1e-8
+        probe_route = fidelity_pair(signal, probe, phi)
+        # the filter route against the lattice route of the x probe: 5.3e-10 in F, 1.2e-9 in G
+        assert abs(pair.F - probe_route.F) < 1e-8
+        assert abs(pair.G - probe_route.G) < 1e-8
 
 
 # 0.01: filter width 0.005, below the signal grid step 0.039
@@ -240,13 +240,13 @@ def test_numeric_optimum_matches_closed_form():
 
 def test_numeric_report_computes_each_pair_once(monkeypatch):
     widths = []
-    pair = qndsim.fidelity._GaussianFilter.pair
+    pair = qndsim.fidelity._LatticeRoute.pair
 
     def counting(route, width):
         widths.append(width)
         return pair(route, width)
 
-    monkeypatch.setattr(qndsim.fidelity._GaussianFilter, "pair", counting)
+    monkeypatch.setattr(qndsim.fidelity._LatticeRoute, "pair", counting)
     signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=256))
     report = q.numeric_trade_off_report(signal, QUARTER_PI, tol=1e-2)
     assert len(widths) == report.evaluations

@@ -1,5 +1,7 @@
-"""The example scripts run end to end and write their CSVs."""
+"""The example scripts run end to end and write their CSVs; the raise-coverage tracer
+finds the raise statements a run misses."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -43,3 +45,41 @@ def test_chain_demo(tmp_path):
     for label in ("squeezed", "vacuum", "antisqueezed"):
         assert read_rows(tmp_path / f"homodyne_{label}.csv").shape[1] == 2
         assert read_rows(tmp_path / f"conditional_{label}.csv").shape[1] == 2
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_raise_coverage_finds_the_raise_that_did_not_run(tmp_path):
+    coverage = load_script("raise_coverage")
+    source = tmp_path / "pkg" / "checked.py"
+    source.parent.mkdir()
+    source.write_text(
+        "def check(x):\n"
+        "    if x < 0:\n"
+        "        raise ValueError(\n"
+        "            'negative'\n"
+        "        )\n"
+        "    if x > 9:\n"
+        "        raise OverflowError\n"
+        "    return x\n"
+    )
+    path = os.path.realpath(source)
+    assert coverage.raise_lines(tmp_path) == {path: {3, 7}}
+    spec = importlib.util.spec_from_file_location("checked", source)
+    checked = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checked)
+
+    def run():
+        try:
+            checked.check(-1)
+        except ValueError:
+            return checked.check(5)
+
+    result, hit = coverage.executed_lines({path}, run)
+    assert result == 5
+    assert 3 in hit[path] and 7 not in hit[path]
