@@ -97,7 +97,7 @@ def test_beam_splitter_vacuum_pair_invariant():
 
 @pytest.mark.parametrize("chirp", [0.0, 1.3])  # 0: a real signal
 def test_beam_splitter_row_blocks_match_one_shot_formula_bitwise(chirp):
-    # 1000 rows: 15 row blocks of 65 and a last one of 25
+    # 1000 rows: 62 row blocks of 16 and a last one of 8
     signal, probe = readout_inputs(1000, chirp)
     joint = q.beam_splitter_transform(signal, probe, 0.7)
     c, s = math.cos(0.7), math.sin(0.7)
@@ -110,7 +110,8 @@ def test_beam_splitter_row_blocks_match_one_shot_formula_bitwise(chirp):
 
 
 def test_beam_splitter_builds_row_blocks():
-    # the one-shot formula peaked at 27 MB on this 768 x 768 state; the state is 9.4 MB
+    # the one-shot formula peaked at 27 MB on this 768 x 768 state, row blocks of 2**16
+    # points at 13.9 MB, and of 2**14 (21 rows) at 10.7 MB; the state is 9.4 MB
     signal, probe = readout_inputs(768)
     tracemalloc.start()
     try:
@@ -118,7 +119,7 @@ def test_beam_splitter_builds_row_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+    assert peak < 12e6
 
 
 # --- homodyne ----------------------------------------------------------------
@@ -299,12 +300,12 @@ def assert_slices_match_cubic_spline(joint):
 
 @pytest.mark.parametrize("chirp", [0.0, 1.3])  # 0: zero imaginary parts
 def test_conditioned_on_mode2_matches_cubic_spline_bitwise(chirp):
-    # 300 rows: row blocks of 218 and 82 (one block once cut)
+    # 300 rows: 5 row blocks of 54 and a last one of 30 (3 of 81 and one of 57 once cut)
     assert_slices_match_cubic_spline(readout_joint_state(300, chirp))
 
 
 def test_conditioned_on_mode2_row_blocks_match_cubic_spline_bitwise():
-    # 768 rows: 9 row blocks of 85 and a last one of 3 (6 of 127 and one of 6 once cut)
+    # 768 rows: 36 row blocks of 21 and a last one of 12 (24 of 31 and one of 24 once cut)
     assert_slices_match_cubic_spline(readout_joint_state(768, 1.3))
 
 
@@ -347,13 +348,14 @@ def test_spline_fits_solve_real_parts_by_one_dgttrs_call(monkeypatch):
         joint = readout_joint_state(768, chirp)  # fresh grids
         solved.clear()
         joint.conditioned_on_mode2(-0.37)
-        rows = [min(step, 768 - start) for start in range(0, 768, step)]  # 9 x 85 and 3
+        rows = [min(step, 768 - start) for start in range(0, 768, step)]  # 36 x 21 and 12
         assert solved == [(parts * r, np.float64) for r in rows]
 
 
 def test_conditioned_on_mode2_forms_one_interval():
     # fitting whole coefficient arrays peaked at 117 MB on this 768 x 768 state, one
-    # multi-column solve over all rows at 36 MB
+    # multi-column solve over all rows at 36 MB, row blocks of 2**16 points at 2.8 MB
+    # and of 2**14 at 0.84 MB
     joint = readout_joint_state(768)
     tracemalloc.start()
     try:
@@ -361,7 +363,7 @@ def test_conditioned_on_mode2_forms_one_interval():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    assert peak < 1.5e6
 
 
 def test_conditioned_on_mode2_null_slice():
@@ -617,3 +619,66 @@ def test_sample_mean_within_four_sigma(vacuum_homodyne):
 def test_sampling_rejects_zero_count(vacuum_homodyne):
     with pytest.raises(InvalidParameterError):
         q.sample_outcomes(vacuum_homodyne, 0, seed=1)
+
+
+def reference_samples(dist, count, seed):
+    """The inverse-transform draws as one expression per step, each a count-long array."""
+    x, y = dist.grid.points, dist.density
+    cdf = np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+    cdf = cdf / cdf[-1]
+    u = np.random.default_rng(seed).random(count)
+    idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, dist.grid.n_points - 2)
+    gap = cdf[idx + 1] - cdf[idx]
+    safe = np.where(gap > 0, gap, 1.0)
+    frac = np.where(gap > 0, (u - cdf[idx]) / safe, 0.0)
+    return dist.grid.points[idx] + frac * dist.grid.step
+
+
+@pytest.fixture(scope="module")
+def sampled_densities():
+    """A cat's homodyne density, and a density with stretches of zero mass (intervals
+    whose CDF gap is 0)."""
+    spec = q.CatSpec(1.8, 0.2025)
+    cat = q.build_state(spec, q.auto_grid([spec]))
+    probe = q.build_gaussian(VACUUM, q.auto_grid([VACUUM]))
+    grid = q.Grid(-3.0, 3.0, 301)
+    values = np.exp(-grid.points**2)
+    values[:10] = values[50:120] = values[200:205] = values[-10:] = 0.0
+    return q.homodyne_distribution(cat, probe, 0.7), q.Distribution.normalized(grid, values)
+
+
+@pytest.mark.parametrize("count", [1, 7, 100_000])
+def test_sampling_in_place_matches_reference_bitwise(sampled_densities, count):
+    massless = sampled_densities[1].density
+    assert np.count_nonzero(massless[1:] + massless[:-1] == 0) == 9 + 69 + 4 + 9
+    for dist in sampled_densities:
+        for seed in (0, 7):
+            got = q.sample_outcomes(dist, count, seed)
+            expected = reference_samples(dist, count, seed)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_sampling_works_in_place(vacuum_homodyne):
+    # besides the result: one index array and one gather temporary; the per-step
+    # expressions peaked at 7.0 times the result's bytes, the in-place steps at 3.1
+    q.sample_outcomes(vacuum_homodyne, 100_000, seed=3)
+    tracemalloc.start()
+    try:
+        draws = q.sample_outcomes(vacuum_homodyne, 100_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * draws.nbytes
+
+
+@pytest.mark.parametrize("count", [2**60, 10**20], ids=["2**60", "10**20"])
+def test_sampling_refuses_a_count_numpy_cannot_index(vacuum_homodyne, count):
+    # 2**60 float64 draws are 2**63 bytes, one more than numpy's largest index
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError, match="more than numpy can index"):
+            q.sample_outcomes(vacuum_homodyne, count, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

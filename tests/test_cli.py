@@ -210,6 +210,17 @@ def test_chain_huge_probe_variance_exits_3_naming_the_probe_width(tmp_path, caps
     assert not (tmp_path / "huge").exists()
 
 
+def test_chain_huge_sample_count_exits_3(tmp_path, capsys):
+    # numpy's own refusal of 1e20 draws is a ValueError, a traceback with exit 1
+    code = main(["chain", "--phi", "0.7", "--probe-var", "0.25",
+                 "--outcome", "sample:100000000000000000000", "--out", str(tmp_path / "huge")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error: sample count 100000000000000000000 needs an array of" in err
+    assert "more than numpy can index" in err
+    assert not (tmp_path / "huge").exists()
+
+
 def test_chain_sampling_is_byte_deterministic(tmp_path):
     flags = ["chain", *GAUSSIAN_FLAGS, "--outcome", "sample:100000", "--seed", "7"]
     out_a, out_b = tmp_path / "a", tmp_path / "b"

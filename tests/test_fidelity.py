@@ -545,8 +545,9 @@ def dense_stride_one_pair(signal, probe, phi):
     component_variance=st.floats(0.05, 0.5),
     phi=st.floats(0.2, 1.35),
 )
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)  # the same draws on every run
 @example(separation=2.5, component_variance=0.05, phi=1.35)  # the outcome step is filter-capped
+@example(separation=0.0, component_variance=0.5, phi=0.25)  # once broke a 1e-14 bound on G
 def test_cat_kernel_routes_match_per_outcome_reference(separation, component_variance, phi):
     spec = q.CatSpec(separation, component_variance)
     cat = q.build_cat(separation, component_variance, q.auto_grid([spec], n_points=256))

@@ -231,7 +231,7 @@ def test_interpolator_matches_cubic_spline_bitwise(bounds, phase, sign, variance
             [lo, hi],
             np.random.default_rng(7).uniform(lo - 2.0, hi + 2.0, 80_000),
         ]
-    )  # more points than SPLINE_CHUNK: the evaluation runs in two chunks
+    )  # more points than SPLINE_CHUNK: the evaluation runs in several chunks
     spline = CubicSpline(knots, wf.amplitudes)
     expected = np.where((x >= lo) & (x <= hi), spline(np.clip(x, lo, hi)), 0.0)
     evaluate = q.grids.amplitude_interpolator(wf)
@@ -401,6 +401,20 @@ def test_repeated_spline_fits_do_not_grow_memory():
         tracemalloc.stop()
     # one fitted spline's real tables alone hold 4 x 2049 x 8 B = 64 KiB
     assert grown < 32 * 1024
+
+
+def test_spline_evaluation_works_in_cache_sized_chunks():
+    # beyond its output, an evaluation holds a six-row workspace of SPLINE_CHUNK points:
+    # 3.3 MB over the output at 2**16 points, 0.87 MB at 2**14
+    evaluate = q.grids.amplitude_interpolator(q.build_cat(1.8, 0.2025, q.Grid(-12.0, 12.0, 2048)))
+    x = np.linspace(-13.0, 13.0, 400_000)
+    tracemalloc.start()
+    try:
+        values = evaluate(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - values.nbytes < 1.5e6
 
 
 def test_singular_spline_band_names_dgttrf(monkeypatch):
