@@ -37,22 +37,25 @@ def raise_lines(root: Path) -> dict[str, set[int]]:
 def executed_lines(files: set[str], run) -> tuple[object, dict[str, set[int]]]:
     """run()'s result, and the lines it executed in `files` (real paths), in every thread."""
     hit: dict[str, set[int]] = {path: set() for path in files}
-    by_name: dict[str, set[int] | None] = {}  # co_filename -> its set, or None if not traced
+    # co_filename -> its file's line tracer, or None if not traced.  One tracer per file,
+    # not a closure per call: a closure that returns itself is a reference cycle, and
+    # the garbage it leaves per traced call would show in the suite's memory tests.
+    by_name: dict[str, object] = {}
 
-    def trace(frame, event, arg):
-        name = frame.f_code.co_filename
-        if name not in by_name:
-            by_name[name] = hit.get(os.path.realpath(name))
-        lines = by_name[name]
-        if lines is None:
-            return None
-
+    def line_tracer(lines: set[int]):
         def local(frame, event, arg):
             if event == "line":
                 lines.add(frame.f_lineno)
             return local
 
-        return local(frame, event, arg)
+        return local
+
+    def trace(frame, event, arg):
+        name = frame.f_code.co_filename
+        if name not in by_name:
+            lines = hit.get(os.path.realpath(name))
+            by_name[name] = None if lines is None else line_tracer(lines)
+        return by_name[name]  # a global tracer sees only "call" events
 
     outer = sys.gettrace(), threading.gettrace()  # a tracer already running resumes after
     threading.settrace(trace)

@@ -329,9 +329,10 @@ def sample_outcomes(dist: Distribution, count: int, seed: int) -> np.ndarray:
     u in [0, 1) is mapped through the piecewise-linear inverse of the
     cumulative trapezoid of the density.  Fixed seed, fixed stream.
 
-    The draws are mapped in place: besides the count-long result, the working memory
-    is one index array and one gather temporary of count entries each.  A count whose
-    draws numpy cannot index is refused before anything is allocated.
+    On a flat run of the CDF (intervals without mass) a uniform equal to the run's
+    value maps to the run's last point.  Besides the count-long result, the working
+    memory is the count uniforms.  A count whose draws numpy cannot index is refused
+    before anything is allocated.
     """
     if count <= 0:
         raise InvalidParameterError(f"sample count must be positive, got {count}")
@@ -342,17 +343,4 @@ def sample_outcomes(dist: Distribution, count: int, seed: int) -> np.ndarray:
         )
     x, y = dist.grid.points, dist.density
     cdf = np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
-    cdf = cdf / cdf[-1]
-    gap = np.diff(cdf)  # per interval
-    # u - cdf[i] >= 0, so an interval without mass divides it to +0: no step into it
-    safe = np.where(gap > 0, gap, np.inf)
-    u = np.random.default_rng(seed).random(count)  # becomes the result
-    idx = np.searchsorted(cdf, u, side="right")
-    idx -= 1
-    np.clip(idx, 0, dist.grid.n_points - 2, out=idx)
-    gathered = cdf.take(idx)  # "clip" (idx is in range): take buffers out= under "raise"
-    u -= gathered
-    u /= safe.take(idx, out=gathered, mode="clip")
-    u *= dist.grid.step
-    u += dist.grid.points.take(idx, out=gathered, mode="clip")
-    return u
+    return np.interp(np.random.default_rng(seed).random(count), cdf / cdf[-1], x)

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -575,6 +576,25 @@ def test_conditional_output_null_outcome():
         q.conditional_output(signal, probe, QUARTER_PI, 10.0)
 
 
+@pytest.mark.parametrize("mean", [1.0, 37.5, 1e4, 1e6])
+def test_p_and_conditional_outputs_shift_with_the_signal_mean(mean):
+    # gaussian:a,0.3 against gaussian:0,0.3: p on the same node count, shifted by a, and
+    # psi_x0 at x0 + a; worst at a = 1e6: x_min 1.2e-10 off a, p 3.1e-12, psi 8.8e-11
+    probe = build(VACUUM, q.auto_grid([VACUUM]))
+    centred_spec, moved_spec = q.GaussianSpec(0.0, 0.3), q.GaussianSpec(mean, 0.3)
+    centred = build(centred_spec, q.auto_grid([centred_spec]))
+    moved = build(moved_spec, q.auto_grid([moved_spec]))
+    p0 = q.homodyne_distribution(centred, probe, 0.7)
+    pa = q.homodyne_distribution(moved, probe, 0.7)
+    assert pa.grid.n_points == p0.grid.n_points
+    assert abs(pa.grid.x_min - p0.grid.x_min - mean) <= 1e-9
+    assert np.abs(pa.density - p0.density).max() <= 1e-9
+    for x0 in (-0.5, 0.0, 0.8):
+        out0 = q.conditional_output(centred, probe, 0.7, x0)
+        outa = q.conditional_output(moved, probe, 0.7, x0 + mean)
+        assert np.abs(outa.amplitudes - out0.amplitudes).max() <= 1e-9
+
+
 def test_outcome_record_maps_reading():
     grid = q.auto_grid([VACUUM])
     p = q.homodyne_distribution(build(VACUUM, grid), build(VACUUM, grid), QUARTER_PI)
@@ -621,17 +641,25 @@ def test_sampling_rejects_zero_count(vacuum_homodyne):
         q.sample_outcomes(vacuum_homodyne, 0, seed=1)
 
 
-def reference_samples(dist, count, seed):
-    """The inverse-transform draws as one expression per step, each a count-long array."""
+def reference_cdf(dist):
     x, y = dist.grid.points, dist.density
     cdf = np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
-    cdf = cdf / cdf[-1]
-    u = np.random.default_rng(seed).random(count)
+    return cdf / cdf[-1]
+
+
+def reference_map(dist, u):
+    """The inverse of the trapezoidal CDF at uniforms u, as one expression per step:
+    interval idx = searchsorted(side="right") - 1, then a linear step into it."""
+    cdf = reference_cdf(dist)
     idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, dist.grid.n_points - 2)
     gap = cdf[idx + 1] - cdf[idx]
     safe = np.where(gap > 0, gap, 1.0)
     frac = np.where(gap > 0, (u - cdf[idx]) / safe, 0.0)
     return dist.grid.points[idx] + frac * dist.grid.step
+
+
+def reference_samples(dist, count, seed):
+    return reference_map(dist, np.random.default_rng(seed).random(count))
 
 
 @pytest.fixture(scope="module")
@@ -648,19 +676,36 @@ def sampled_densities():
 
 
 @pytest.mark.parametrize("count", [1, 7, 100_000])
-def test_sampling_in_place_matches_reference_bitwise(sampled_densities, count):
+def test_sampling_matches_reference_within_four_spacings(sampled_densities, count):
+    # np.interp steps by the slope (x[i+1] - x[i]) / gap, the reference by the grid's
+    # step: worst 2.0 spacings of max|x| over 300 seeds of 100 000 draws on each density
     massless = sampled_densities[1].density
     assert np.count_nonzero(massless[1:] + massless[:-1] == 0) == 9 + 69 + 4 + 9
     for dist in sampled_densities:
+        bound = 4 * np.spacing(np.abs(dist.grid.points).max())
         for seed in (0, 7):
             got = q.sample_outcomes(dist, count, seed)
             expected = reference_samples(dist, count, seed)
-            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+            assert np.abs(got - expected).max() <= bound
+
+
+def test_sampling_at_cdf_knots_matches_reference_bitwise(sampled_densities, monkeypatch):
+    # every knot below 1 as a uniform: u = 0 on the leading zero mass, and u on a flat
+    # run of the CDF, map to the run's last point, as searchsorted(side="right") - 1 does
+    for dist in sampled_densities:
+        cdf = reference_cdf(dist)
+        knots = cdf[cdf < 1.0]
+        with monkeypatch.context() as patch:
+            uniforms = SimpleNamespace(random=lambda n: knots.copy())  # the map may write u
+            patch.setattr(np.random, "default_rng", lambda seed: uniforms)
+            got = q.sample_outcomes(dist, knots.size, seed=0)
+        expected = reference_map(dist, knots)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_sampling_works_in_place(vacuum_homodyne):
-    # besides the result: one index array and one gather temporary; the per-step
-    # expressions peaked at 7.0 times the result's bytes, the in-place steps at 3.1
+    # besides the result: the uniforms np.interp maps (2.1 times the result's bytes);
+    # an index array and a gather temporary of count entries each would reach 3.1
     q.sample_outcomes(vacuum_homodyne, 100_000, seed=3)
     tracemalloc.start()
     try:
@@ -668,7 +713,7 @@ def test_sampling_works_in_place(vacuum_homodyne):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * draws.nbytes
+    assert peak < 2.5 * draws.nbytes
 
 
 @pytest.mark.parametrize("count", [2**60, 10**20], ids=["2**60", "10**20"])

@@ -1,6 +1,7 @@
 """The example scripts run end to end and write their CSVs; the raise-coverage tracer
 finds the raise statements a run misses."""
 
+import gc
 import importlib.util
 import os
 import subprocess
@@ -83,3 +84,32 @@ def test_raise_coverage_finds_the_raise_that_did_not_run(tmp_path):
     result, hit = coverage.executed_lines({path}, run)
     assert result == 5
     assert 3 in hit[path] and 7 not in hit[path]
+
+
+def test_raise_coverage_tracer_leaves_no_garbage_per_call(tmp_path):
+    # garbage left per traced call is freed only by the cycle collector, so a memory
+    # test run under the tracer would count whatever it has not yet collected
+    coverage = load_script("raise_coverage")
+    source = tmp_path / "tracked.py"
+    source.write_text("def step(x):\n    return x + 1\n")
+    spec = importlib.util.spec_from_file_location("tracked", source)
+    tracked = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracked)
+
+    def run():
+        total = 0
+        for _ in range(10_000):
+            total = tracked.step(total)
+        return total
+
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result, hit = coverage.executed_lines({os.path.realpath(source)}, run)
+        garbage = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert result == 10_000 and hit[os.path.realpath(source)] == {2}
+    assert garbage < 100
