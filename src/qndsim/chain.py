@@ -322,6 +322,15 @@ def conditional_output(
     return _conditioned(signal.grid, vals, t, x0)
 
 
+def _check_indexable(count: int, what: str) -> None:
+    """Refuse, before anything is allocated, `count` float64 values numpy cannot index."""
+    size = np.dtype(np.float64).itemsize * count
+    if size > np.iinfo(np.intp).max:
+        raise InvalidParameterError(
+            f"{what} {count} needs an array of {size} bytes, more than numpy can index"
+        )
+
+
 def sample_outcomes(dist: Distribution, count: int, seed: int) -> np.ndarray:
     """Deterministic inverse-transform draws from the trapezoidal CDF.
 
@@ -336,11 +345,7 @@ def sample_outcomes(dist: Distribution, count: int, seed: int) -> np.ndarray:
     """
     if count <= 0:
         raise InvalidParameterError(f"sample count must be positive, got {count}")
-    size = np.dtype(np.float64).itemsize * count
-    if size > np.iinfo(np.intp).max:
-        raise InvalidParameterError(
-            f"sample count {count} needs an array of {size} bytes, more than numpy can index"
-        )
+    _check_indexable(count, "sample count")
     x, y = dist.grid.points, dist.density
     cdf = np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
     return np.interp(np.random.default_rng(seed).random(count), cdf / cdf[-1], x)

@@ -17,12 +17,14 @@ transmittivity and output squeeze factor that ``chain`` derives from phi.
 An unset ``optimize --tol`` is recorded as null and takes the report
 function's own default; ``report.json`` states the tolerance used.
 Identical flags, seed and tool version reproduce identical numeric outputs.
+``main`` may be called repeatedly in one process; the parser is built at its first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -33,7 +35,8 @@ import numpy as np
 
 from . import __version__, checks
 from .chain import (
-    check_phase, conditional_output, homodyne_distribution, make_outcome, sample_outcomes,
+    _check_indexable, check_phase, conditional_output, homodyne_distribution, make_outcome,
+    sample_outcomes,
 )
 from .errors import InvalidParameterError, QndSimError
 from .fidelity import OUTCOME_NODES
@@ -234,6 +237,7 @@ def cmd_chain(args: argparse.Namespace) -> tuple[int, Files, dict]:
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[int, Files, dict]:
     _check_bracket(args)
+    _check_indexable(args.steps, "--steps")
     xs = np.linspace(args.x_min, args.x_max, args.steps)
 
     if args.mode == "closed":
@@ -310,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     chain.add_argument("--out", required=True, metavar="DIR")
     chain.add_argument("--grid-n", type=_positive_int, default=DEFAULT_GRID_POINTS)
     chain.add_argument("--grid-span", type=float, default=None, help="half-width override")
-    chain.set_defaults(func=cmd_chain)
 
     sweep = sub.add_parser("sweep", help="Tabulate F, G, F+G over a range of filter ratios.")
     sweep.add_argument("--x-min", type=float, required=True)
@@ -324,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted and recorded in the manifest, but not read: the "
                        "numeric sweep filters the signal on its own grid, with no outcome grid")
     sweep.add_argument("--out", required=True, metavar="DIR")
-    sweep.set_defaults(func=cmd_sweep)
 
     optimize = sub.add_parser("optimize", help="Locate the F+G maximum and the F=G crossing.")
     optimize.add_argument("--mode", choices=("closed", "numeric"), required=True)
@@ -337,27 +339,32 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--x-max", type=float, default=5.0)
     optimize.add_argument("--grid-n", type=_positive_int, default=1024)
     optimize.add_argument("--out", required=True, metavar="DIR")
-    optimize.set_defaults(func=cmd_optimize)
 
     validate = sub.add_parser("validate", help="Run the limit and pipeline consistency suites.")
     validate.add_argument("--suite", choices=("limits", "pipeline", "all"), default="all")
     validate.add_argument("--out", required=True, metavar="DIR")
-    validate.set_defaults(func=cmd_validate)
 
     return parser
 
 
-_NOT_CONFIG = ("command", "func", "out", "seed")  # seed: recorded at the manifest's top level
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built at the first `main` call and reused by every later one."""
+    return build_parser()
+
+
+_NOT_CONFIG = ("command", "out", "seed")  # seed: recorded at the manifest's top level
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help itself
         return int(exc.code or 0)
     try:
-        code, files, derived = args.func(args)
+        # looked up at call time, not bound into the shared parser, so that a wrapper set
+        # on a module attribute (a tracer's, a test's) runs while it is set
+        code, files, derived = globals()[f"cmd_{args.command}"](args)
         flags = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
         manifest = {
             "command": args.command,

@@ -183,26 +183,37 @@ class _LatticeRoute:
         c = self.autocorrelation
         return float(2.0 * (c @ transfer) - c[0] * transfer[0])
 
-    def _figures(self, lagged: np.ndarray, transfer: np.ndarray, z_lattice: float) -> FidelityPair:
-        """F and G from P(-l) at the circular lags l = 0 .. N - 1, (a zero), 1 - N .. -1,
-        F's transfer R(d) / Z' at the lags d = 0 .. N - 1, and Z' = h sum_d P(d)."""
-        p = np.fft.irfft(self.mass_hat * np.fft.rfft(lagged), lagged.size)[: self.lags.size]
-        p = np.maximum(p, 0.0)  # FFT roundoff can dip p's far tails below 0
-        coeff = float(self.weighted_abs @ np.sqrt(p / (self.mass_total * z_lattice)))
-        f_raw = self.state_fidelity(transfer)
+    def _figures(self, lagged: np.ndarray, f_raw: float, z_lattice: float) -> FidelityPair:
+        """F and G from raw F, Z' = h sum_d P(d) and, in `lagged` (2N entries), P(-l) at the
+        circular lags l = 0 .. N - 1, (a zero), 1 - N .. -1."""
+        spectrum = np.fft.rfft(lagged)
+        np.multiply(self.mass_hat, spectrum, out=spectrum)
+        p = np.fft.irfft(spectrum, lagged.size)[: self.lags.size]
+        np.maximum(p, 0.0, out=p)  # FFT roundoff can dip p's far tails below 0
+        np.divide(p, self.mass_total * z_lattice, out=p)
+        coeff = float(self.weighted_abs @ np.sqrt(p, out=p))
         return FidelityPair(F=_checked_unit(f_raw), G=_checked_unit(coeff * coeff))
 
     def pair(self, width: float) -> FidelityPair:
-        """F and G through a Gaussian filter of width sigma_f, refused below one grid step."""
+        """F and G through a Gaussian filter of width sigma_f, refused below one grid step.
+        Every step runs in place in one 2N buffer: (d h / sigma_f)^2 in its first half,
+        F's transfer in its second, then P at the lags 0 .. N - 1, 1 - N .. -1."""
         _check_filter_width(width, self.step)
-        scaled_sq = np.square(self.lags / width)
-        kernel = np.exp(-0.5 * scaled_sq) / (width * math.sqrt(2.0 * math.pi))
-        lagged = np.concatenate((kernel, [0.0], kernel[:0:-1]))  # lags 0 .. N - 1, 1 - N .. -1
+        n = self.lags.size
+        lagged = np.empty(2 * n)
+        head, tail = lagged[:n], lagged[n:]
+        np.square(np.divide(self.lags, width, out=head), out=head)
+        np.exp(np.multiply(head, -0.125, out=tail), out=tail)  # R(d) / Z', d = 0 .. N - 1
+        f_raw = self.state_fidelity(tail)
+        np.exp(np.multiply(head, -0.5, out=head), out=head)
+        np.divide(head, width * math.sqrt(2.0 * math.pi), out=head)  # P(d) = P(-d)
+        tail[0] = 0.0
+        tail[1:] = head[:0:-1]
         # Z': for s = sigma_f / h >= 1 the Poisson terms j >= 2 (below 1e-34) leave
         # 1 + 2 exp(-2 pi^2 s^2) unchanged; s s past the float range is inf, whose exp is 0
         s = width / self.step
         z_lattice = 1.0 + 2.0 * math.exp(-2.0 * math.pi**2 * s * s)
-        return self._figures(lagged, np.exp(-0.125 * scaled_sq), z_lattice)
+        return self._figures(lagged, f_raw, z_lattice)
 
     def probe_pair(self, probe: WaveFunction, phi: float) -> FidelityPair:
         """F and G of any probe at phi, refused when its filter sigma_p / tan phi is below
@@ -220,9 +231,17 @@ class _LatticeRoute:
         kappa_hat = np.fft.fft(kappa[lowest - first :], 1 << (last - lowest).bit_length())
         kappa_hat *= kappa_hat.conj()
         r = np.fft.ifft(kappa_hat)[:n].real * (t * h)  # Re R(d), d = 0 .. N - 1
-        power = t * np.abs(kappa[1 - n - first : n - first]) ** 2  # P(d), d = 1 - N .. N - 1
-        lagged = np.concatenate((power[n - 1 :: -1], [0.0], power[: n - 1 : -1]))
-        return self._figures(lagged, r / r[0], r[0])
+        z_lattice = r[0]
+        f_raw = self.state_fidelity(np.divide(r, z_lattice, out=r))
+        # |kappa(d)|, d = 1 - N .. N - 1, formed in order: numpy's abs of a reversed view
+        # takes its scalar hypot, whose last bits differ
+        modulus = np.abs(kappa[1 - n - first : n - first])
+        lagged = np.empty(2 * n)
+        lagged[:n] = modulus[n - 1 :: -1]
+        lagged[n] = 0.0
+        lagged[n + 1 :] = modulus[: n - 1 : -1]
+        np.multiply(t, np.square(lagged, out=lagged), out=lagged)  # P(-l) = t |kappa(-l)|^2
+        return self._figures(lagged, f_raw, z_lattice)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import qndsim as q
+import qndsim.cli
 from qndsim import checks
 from qndsim.cli import build_parser, main
 
@@ -217,6 +218,18 @@ def test_chain_huge_sample_count_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "error: sample count 100000000000000000000 needs an array of" in err
+    assert "more than numpy can index" in err
+    assert not (tmp_path / "huge").exists()
+
+
+@pytest.mark.parametrize("mode", ["numeric", "closed"])
+def test_sweep_huge_step_count_exits_3(tmp_path, capsys, mode):
+    # numpy's own refusal of 1e20 points in np.linspace is a ValueError, a traceback with exit 1
+    code = main(["sweep", "--mode", mode, "--steps", "100000000000000000000", "--x-min", "0.5",
+                 "--x-max", "2", "--out", str(tmp_path / "huge")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error: --steps 100000000000000000000 needs an array of" in err
     assert "more than numpy can index" in err
     assert not (tmp_path / "huge").exists()
 
@@ -550,3 +563,56 @@ def test_cli_import_loads_no_scipy_module():
     ).stdout.split()
     assert "qndsim.cli" in loaded
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_in_process_calls_share_only_the_parser(tmp_path, monkeypatch, capsys):
+    builds, wrapped = [], []
+    build_parser, cmd_sweep = qndsim.cli.build_parser, qndsim.cli.cmd_sweep
+
+    def counted_build():
+        builds.append(1)
+        return build_parser()
+
+    def wrapped_sweep(args):
+        wrapped.append(args.steps)
+        return cmd_sweep(args)
+
+    monkeypatch.setattr(qndsim.cli, "build_parser", counted_build)
+    qndsim.cli._parser.cache_clear()
+    sweep = ["sweep", "--mode", "numeric", "--steps", "3", "--x-min", "0.5", "--x-max", "2",
+             "--grid-n", "256"]
+
+    # a usage error leaves nothing behind: the next sweep writes a fresh process's bytes
+    assert main(["sweep", "--mode", "banana", "--steps", "3", "--x-min", "0.5", "--x-max", "2",
+                 "--out", str(tmp_path / "bad")]) == 2
+    assert main([*sweep, "--out", str(tmp_path / "after-error")]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(q.__file__).parents[1])}
+    subprocess.run([sys.executable, "-m", "qndsim.cli", *sweep, "--out", str(tmp_path / "fresh")],
+                   env=env, check=True)
+    in_process, fresh = tmp_path / "after-error", tmp_path / "fresh"
+    assert (in_process / "sweep.csv").read_bytes() == (fresh / "sweep.csv").read_bytes()
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in (in_process, fresh)]
+    for manifest in manifests:
+        del manifest["timestamp"]
+    assert manifests[0] == manifests[1]
+
+    # a flag set on one call is not a default of the next
+    assert main(["optimize", "--mode", "closed", "--tol", "5e-3",
+                 "--out", str(tmp_path / "tol")]) == 0
+    assert main(["optimize", "--mode", "closed", "--out", str(tmp_path / "no-tol")]) == 0
+    for out, tol in (("tol", 5e-3), ("no-tol", None)):
+        assert json.loads((tmp_path / out / "manifest.json").read_text())["config"]["tol"] == tol
+
+    capsys.readouterr()
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"qndsim {q.__version__}\n"
+    assert main(["validate", "--suite", "limits", "--out", str(tmp_path / "after-version")]) == 0
+
+    # a wrapper set on a command after the parser exists runs until it is removed, as a
+    # tracer's does
+    with monkeypatch.context() as patch:
+        patch.setattr(qndsim.cli, "cmd_sweep", wrapped_sweep)
+        assert main([*sweep, "--out", str(tmp_path / "wrapped")]) == 0
+    assert main([*sweep, "--out", str(tmp_path / "unwrapped")]) == 0
+    assert wrapped == [3]
+    assert builds == [1]

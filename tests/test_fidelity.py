@@ -645,3 +645,91 @@ def test_raw_fidelity_outside_unit_interval_raises():
 def test_fidelity_pair_sum():
     pair = q.FidelityPair(F=0.25, G=0.5)
     assert pair.f_plus_g == 0.75
+
+
+# --- the lattice route's in-place filter pass against its earlier out-of-place form ---
+
+
+def reference_figures(route, lagged, transfer, z_lattice):
+    """`_LatticeRoute._figures` as it was before its steps ran in place."""
+    p = np.fft.irfft(route.mass_hat * np.fft.rfft(lagged), lagged.size)[: route.lags.size]
+    p = np.maximum(p, 0.0)  # FFT roundoff can dip p's far tails below 0
+    coeff = float(route.weighted_abs @ np.sqrt(p / (route.mass_total * z_lattice)))
+    f_raw = route.state_fidelity(transfer)
+    return q.FidelityPair(F=qndsim.fidelity._checked_unit(f_raw),
+                          G=qndsim.fidelity._checked_unit(coeff * coeff))
+
+
+def reference_pair(route, width):
+    """`_LatticeRoute.pair` as it was before its steps ran in place."""
+    scaled_sq = np.square(route.lags / width)
+    kernel = np.exp(-0.5 * scaled_sq) / (width * math.sqrt(2.0 * math.pi))
+    lagged = np.concatenate((kernel, [0.0], kernel[:0:-1]))  # lags 0 .. N - 1, 1 - N .. -1
+    s = width / route.step
+    z_lattice = 1.0 + 2.0 * math.exp(-2.0 * math.pi**2 * s * s)
+    return reference_figures(route, lagged, np.exp(-0.125 * scaled_sq), z_lattice)
+
+
+def reference_probe_pair(route, probe, phi):
+    """`_LatticeRoute.probe_pair` as it was before its steps ran in place."""
+    t, h, n = math.tan(phi), route.step, route.lags.size
+    lowest = math.ceil(probe.grid.x_min / (t * h))
+    first = min(lowest, 1 - n)
+    last = max(math.floor(probe.grid.x_max / (t * h)) + n - 1, n - 1)
+    kappa = qndsim.chain._kernel_samples(probe, t, h, first, last - first + 1)
+    kappa_hat = np.fft.fft(kappa[lowest - first :], 1 << (last - lowest).bit_length())
+    kappa_hat *= kappa_hat.conj()
+    r = np.fft.ifft(kappa_hat)[:n].real * (t * h)
+    power = t * np.abs(kappa[1 - n - first : n - first]) ** 2
+    lagged = np.concatenate((power[n - 1 :: -1], [0.0], power[: n - 1 : -1]))
+    return reference_figures(route, lagged, r / r[0], r[0])
+
+
+def bits(pair):
+    return pair.F.hex(), pair.G.hex()
+
+
+def lattice_signal(kind, n_points, variance, separation):
+    spec = q.GaussianSpec(0.3, variance) if kind == "gaussian" else q.CatSpec(separation, variance)
+    return q.build_state(spec, q.auto_grid([spec], n_points=n_points))
+
+
+SIGNALS = {
+    "n_points": st.sampled_from([16, 1024, 2048]),
+    "kind": st.sampled_from(["gaussian", "cat"]),
+    "variance": st.floats(0.05, 1.0),
+    "separation": st.floats(0.0, 2.5),
+}
+
+
+@given(**SIGNALS, log_ratio=st.floats(0.0, 150.0))  # filter width / grid step: 1 .. 1e150
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(n_points=2048, kind="cat", variance=0.2025, separation=1.8, log_ratio=0.0)
+@example(n_points=16, kind="gaussian", variance=0.25, separation=0.0, log_ratio=150.0)
+def test_filter_pass_matches_out_of_place_reference_bitwise(
+    n_points, kind, variance, separation, log_ratio
+):
+    route = qndsim.fidelity._LatticeRoute(lattice_signal(kind, n_points, variance, separation))
+    width = route.step * 10.0**log_ratio
+    assert bits(route.pair(width)) == bits(reference_pair(route, width))
+
+
+@given(
+    **SIGNALS,
+    # the probe filter's width sigma_p / tan phi over the step, 1.12 .. 1e3: the built probe's
+    # variance is not its spec's to the last bit, so a ratio of 1 can be refused
+    log_ratio=st.floats(0.05, 3.0),
+    phi=st.floats(0.2, 1.35),
+    chirp=st.booleans(),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_probe_pass_matches_out_of_place_reference_bitwise(
+    n_points, kind, variance, separation, log_ratio, phi, chirp
+):
+    route = qndsim.fidelity._LatticeRoute(lattice_signal(kind, n_points, variance, separation))
+    sigma_p = route.step * 10.0**log_ratio * math.tan(phi)
+    spec = q.GaussianSpec(0.0, sigma_p**2)
+    probe = q.build_gaussian(spec, q.auto_grid([spec], n_points=1024))
+    if chirp:
+        probe = chirped(probe, 0.8 / spec.variance, 0.3 / sigma_p)
+    assert bits(route.probe_pair(probe, phi)) == bits(reference_probe_pair(route, probe, phi))
