@@ -380,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, text in files.items():
             (out_dir / name).write_text(text, encoding="ascii", newline="\n")
         return code
-    except QndSimError as exc:
+    except (QndSimError, MemoryError) as exc:  # numpy's refused allocations are MemoryErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

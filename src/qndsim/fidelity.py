@@ -43,7 +43,8 @@ whole lattice, so p's tails may leave the grid.  Z' is the lattice sum of the sa
 probe, not its norm 1, so that p / Z integrates to 1 on the lattice whatever the spline
 error of |psi_p|^2.  For a Gaussian probe the chain acts on m as one Gaussian filter of
 width sigma_f = sigma_p / tan phi, and P, R and Z' are analytic (`_LatticeRoute.pair`,
-behind the trade-off curve and the transfer route), so no probe is built:
+behind the trade-off curve and report; the transfer route instead sums the transfer
+kernel over the lags in `_LatticeRoute.state_fidelity`), so no probe is built:
 
   P(d) = N(d h; sigma_f^2),  Z' = 1 + 2 sum_(j>=1) exp(-2 pi^2 sigma_f^2 j^2 / h^2)
   (Poisson summation), and F's R(d) / Z' is the continuum's exp(-(d h)^2 / (8 sigma_f^2));

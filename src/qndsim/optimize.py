@@ -8,9 +8,6 @@ best operating point.  Closed-form Gaussian fidelities make that a cheap
 from __future__ import annotations
 
 import math
-import os
-import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,8 +33,6 @@ from .grids import WaveFunction
 GOLDEN_SECTION = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_BRACKET = (0.05, 20.0)
 COARSE_SCAN_POINTS = 64
-MAX_BISECTIONS = 200
-_PACKAGE_DIR = os.path.dirname(__file__)
 
 
 @dataclass(frozen=True)
@@ -58,23 +53,16 @@ def trade_off(x: float) -> FidelityPair:
     return FidelityPair(F=gaussian_state_fidelity(x), G=gaussian_distribution_fidelity(x))
 
 
-def _stacklevel_outside_package() -> int:
-    """The warnings.warn stacklevel, seen from this function's caller, of the first frame
-    outside this package: the warning names the calling line, not a line of qndsim."""
-    frame, level = sys._getframe(1), 1
-    while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
-        frame, level = frame.f_back, level + 1
-    return level
-
-
 def maximize_trade_off(
     objective: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> tuple[float, float]:
-    """Golden-section maximizer guarded by a coarse unimodality pre-scan.
+    """Best of the golden-section refined maxima of a coarse scan, and its objective value.
 
-    A 64-point scan locates the bracket (and warns if the objective shows
-    more than one strict local maximum); golden-section then shrinks it
-    below tol and the midpoint is returned with its objective value.
+    A 64-point scan of [lo, hi] (step (hi - lo) / 63) finds the local maxima: each point
+    that beats its left neighbour and is not below its right one, an end against its one
+    neighbour.  Golden section shrinks the bracket of scan neighbours around each to at most
+    tol; the refined midpoints and the two ends compete, so an end maximum comes back as
+    exactly lo or hi.  A peak narrower than the scan step can hide between scan points.
     """
     if not lo < hi:
         raise BracketError(f"invalid bracket [{lo}, {hi}]: need lo < hi")
@@ -89,17 +77,18 @@ def maximize_trade_off(
     if not np.all(np.isfinite(vals)):
         bad = float(xs[np.nonzero(~np.isfinite(vals))[0][0]])
         raise NonFiniteObjectiveError(f"objective is not finite at x={bad}")
-    interior_max = (vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])
-    if int(interior_max.sum()) > 1:
-        warnings.warn(
-            "objective shows multiple local maxima on the coarse scan; "
-            "golden section may return a local optimum",
-            RuntimeWarning,
-            stacklevel=_stacklevel_outside_package(),
-        )
-    peak = int(np.argmax(vals))
-    a = float(xs[max(peak - 1, 0)])
-    b = float(xs[min(peak + 1, len(xs) - 1)])
+    padded = np.concatenate(([-np.inf], vals, [-np.inf]))
+    peaks = np.flatnonzero((vals > padded[:-2]) & (vals >= padded[2:]))
+    candidates = [(float(xs[0]), float(vals[0])), (float(xs[-1]), float(vals[-1]))]
+    for i in peaks:
+        a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
+        x_star = _golden_section(objective, a, b, tol)
+        candidates.append((x_star, float(objective(x_star))))
+    return max(candidates, key=lambda candidate: candidate[1])
+
+
+def _golden_section(objective: Callable[[float], float], a: float, b: float, tol: float) -> float:
+    """Midpoint of the golden-section bracket around a maximum of [a, b], once b - a <= tol."""
     c = b - GOLDEN_SECTION * (b - a)
     d = a + GOLDEN_SECTION * (b - a)
     fc, fd = objective(c), objective(d)
@@ -112,11 +101,12 @@ def maximize_trade_off(
             a, c, fc = c, d, fd
             d = a + GOLDEN_SECTION * (b - a)
             fd = objective(d)
-    x_star = 0.5 * (a + b)
-    return x_star, float(objective(x_star))
+    return 0.5 * (a + b)
 
 
 def _bisect(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
+    """A root of fn between lo and hi: an end or midpoint where fn is exactly 0, or the
+    midpoint of the first bracket no wider than tol or that no float splits."""
     f_lo, f_hi = fn(lo), fn(hi)
     if f_lo == 0.0:
         return lo
@@ -127,20 +117,21 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> f
             f"no sign change on [{lo}, {hi}]: f(lo)={f_lo:.6g}, f(hi)={f_hi:.6g}"
         )
     a, b, f_a = lo, hi, f_lo
-    for _ in range(MAX_BISECTIONS):
+    while True:
         mid = 0.5 * (a + b)
+        if b - a <= tol or mid in (a, b):
+            return mid
         f_mid = fn(mid)
-        if abs(f_mid) < tol:
+        if f_mid == 0.0:
             return mid
         if (f_a < 0.0) == (f_mid < 0.0):
             a, f_a = mid, f_mid
         else:
             b = mid
-    raise InvalidParameterError(f"bisection did not reach |f| < {tol} in {MAX_BISECTIONS} steps")
 
 
 def equal_fidelity_point(lo: float, hi: float, tol: float) -> float:
-    """Bisection root of the closed-form F - G, stopping at |F - G| < tol."""
+    """Bisection root of the closed-form F - G, to a final bracket no wider than tol."""
     if not lo < hi:
         raise BracketError(f"invalid bracket [{lo}, {hi}]: need lo < hi")
     if not 0 < tol < math.inf:

@@ -234,6 +234,18 @@ def test_sweep_huge_step_count_exits_3(tmp_path, capsys, mode):
     assert not (tmp_path / "huge").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--mode", "numeric", "--steps", "1000000000000000", "--x-min", "0.5", "--x-max", "2"],
+    ["chain", "--phi", "0.7", "--probe-var", "0.25", "--outcome", "sample:1000000000000000"],
+])
+def test_unallocatable_count_exits_3(tmp_path, capsys, argv):
+    # numpy can index 1e15 entries, but malloc refuses 7.11 PiB at once: nothing is touched
+    code = main([*argv, "--out", str(tmp_path / "huge")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: Unable to allocate 7.11 PiB")
+    assert not (tmp_path / "huge").exists()
+
+
 def test_chain_sampling_is_byte_deterministic(tmp_path):
     flags = ["chain", *GAUSSIAN_FLAGS, "--outcome", "sample:100000", "--seed", "7"]
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,13 +1,18 @@
 """Trade-off optimizers: golden section, bisection, phase tuning, numeric curves."""
 
+import json
 import math
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qndsim as q
 import qndsim.fidelity
 import qndsim.optimize
+from qndsim.cli import main
 from qndsim.errors import (
     BracketError,
     DegeneratePhaseError,
@@ -95,20 +100,32 @@ def test_maximize_rejects_tolerance_below_float_resolution():
     assert abs(x_m - X_M_REFINED) < 1e-6
 
 
-def test_maximize_warns_on_multimodal_scan():
-    with pytest.warns(RuntimeWarning, match="multiple local maxima") as record:
-        q.maximize_trade_off(lambda x: math.sin(5.0 * x), 0.0, 5.0, 1e-4)
-    assert [w.filename for w in record] == [__file__]
+def test_maximize_refines_every_scan_peak():
+    # four maxima of height 1 on the scan; each is refined, and the best comes back
+    x_star, value = q.maximize_trade_off(lambda x: math.sin(5.0 * x), 0.0, 5.0, 1e-4)
+    assert abs(value - 1.0) < 1e-8
+    assert min(abs(x_star - (0.1 + 0.4 * k) * math.pi) for k in range(4)) < 1e-4
 
 
-def test_trade_off_report_warns_at_the_callers_line():
+def test_trade_off_report_takes_the_best_refined_maximum():
     def multimodal_pair(x):  # F + G = 1 + sin(5 x): several maxima; F - G = x - 2
         return q.FidelityPair(F=0.5 * (1.0 + math.sin(5.0 * x) + x - 2.0),
                               G=0.5 * (1.0 + math.sin(5.0 * x) - x + 2.0))
 
-    with pytest.warns(RuntimeWarning, match="multiple local maxima") as record:
-        qndsim.optimize._trade_off_report(multimodal_pair, 0.2, 5.0, 1e-4)
-    assert [w.filename for w in record] == [__file__]
+    report = qndsim.optimize._trade_off_report(multimodal_pair, 0.2, 5.0, 1e-4)
+    assert abs(report.F_at_xm + report.G_at_xm - 2.0) < 1e-8
+    assert abs(report.x_e - 2.0) <= 0.5e-4
+
+
+def test_maximize_returns_an_end_maximum_exactly():
+    assert q.maximize_trade_off(lambda x: x, 0.2, 5.0, 1e-3) == (5.0, 5.0)
+    assert q.maximize_trade_off(lambda x: -x, 0.2, 5.0, 1e-3) == (0.2, -0.2)
+    # an end maximum (0.5 at x = 5) below an interior one (1 at x = 1): the interior wins
+    x_star, value = q.maximize_trade_off(
+        lambda x: math.exp(-((x - 1.0) ** 2)) + 0.5 * math.exp(-2.0 * (x - 5.0) ** 2),
+        0.0, 5.0, 1e-6)
+    assert abs(x_star - 1.0) < 1e-6
+    assert abs(value - 1.0) < 1e-12
 
 
 def test_equal_fidelity_point_location():
@@ -137,14 +154,15 @@ def test_equal_fidelity_point_bracket_errors():
         q.equal_fidelity_point(0.5, 3.0, math.inf)  # would return the first midpoint, 1.75
 
 
-def test_bisection_that_cannot_reach_tolerance_raises():
-    # a sign change with no root: |f| = 1 everywhere, so the bisection runs
-    # out of steps and must say so instead of returning a midpoint
+def test_bisection_of_a_jump_stops_on_bracket_width():
+    # a sign change with no root: |f| = 1 everywhere, so only the bracket width can stop it
     def step(x):
         return -1.0 if x < 1.0 / 3.0 else 1.0
 
-    with pytest.raises(InvalidParameterError, match="did not reach"):
-        _bisect(step, 0.0, 1.0, 0.5)
+    for tol in (0.5, 1e-3, 1e-12):
+        assert abs(_bisect(step, 0.0, 1.0, tol) - 1.0 / 3.0) <= tol
+    # below the float spacing, it stops where the midpoint rounds onto a bracket end
+    assert abs(_bisect(step, 0.0, 1.0, 0.0) - 1.0 / 3.0) <= math.ulp(1.0 / 3.0)
 
 
 def test_tune_phase_balanced_case():
@@ -178,6 +196,7 @@ def test_gaussian_trade_off_report():
     assert abs(report.F_at_xe - 0.88) < 0.01
     assert report.evaluations > 64
     assert report.tolerance == 1e-4
+    assert abs(report.x_e - X_E_REFINED) <= report.tolerance / 2  # the final bracket's midpoint
     residual = abs(
         q.gaussian_state_fidelity(report.x_e) - q.gaussian_distribution_fidelity(report.x_e)
     )
@@ -251,3 +270,50 @@ def test_numeric_report_computes_each_pair_once(monkeypatch):
     report = q.numeric_trade_off_report(signal, QUARTER_PI, tol=1e-2)
     assert len(widths) == report.evaluations
     assert len(set(widths)) == len(widths)
+
+
+def numeric_report(spec):
+    signal = q.build_state(spec, q.auto_grid([spec], n_points=512))
+    return signal, q.numeric_trade_off_report(signal, 0.7)
+
+
+def test_cat_optimize_finds_the_global_maximum(tmp_path):
+    # the 64-point scan sees two peaks, (0.276, 1.348529) and (1.343, 1.349143); refined,
+    # the lower one is the higher: (0.2349, 1.3533348) against (1.3726, 1.3492331)
+    out = tmp_path / "cat"
+    assert main(["optimize", "--mode", "numeric", "--signal", "cat:1.95,0.23", "--phi", "0.7",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert abs(report["F_at_xm"] + report["G_at_xm"] - 1.353335) < 1e-6
+    assert abs(report["x_m"] - 0.235) < 1e-3
+
+
+# phi stays fixed: the filter route reads only the ratio x.
+@given(separation=st.floats(1.5, 2.1), variance=st.floats(0.12, 0.23))
+@example(1.95, 0.23)  # two scan peaks, and the lower one is the global maximum
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_cat_report_is_at_least_a_fine_scan(separation, variance):
+    signal, report = numeric_report(q.CatSpec(separation, variance))
+    xs = np.linspace(0.2, 5.0, 2048)
+    scan = max(pair.f_plus_g for pair in q.numeric_trade_off_curve(signal, xs, 0.7))
+    assert report.F_at_xm + report.G_at_xm >= scan - 1e-6
+
+
+@given(mean=st.floats(-1e4, 1e4), variance=st.floats(0.05, 4.0))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_gaussian_report_does_not_depend_on_the_mean(mean, variance):
+    _, centred = numeric_report(q.GaussianSpec(0.0, variance))
+    _, shifted = numeric_report(q.GaussianSpec(mean, variance))
+    assert abs(shifted.x_m - centred.x_m) <= shifted.tolerance
+    assert abs(shifted.x_e - centred.x_e) <= shifted.tolerance
+
+
+# x = sigma_p / (sigma_s tan phi) is dimensionless: scaling every width by lambda (cat
+# separation by lambda, variance by lambda^2) scales sigma_s and the auto grid alike
+@given(separation=st.floats(0.0, 3.0), variance=st.floats(0.05, 1.0), scale=st.floats(0.05, 20.0))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_cat_report_is_scale_invariant(separation, variance, scale):
+    _, unit = numeric_report(q.CatSpec(separation, variance))
+    _, scaled = numeric_report(q.CatSpec(scale * separation, scale**2 * variance))
+    assert abs(scaled.x_m - unit.x_m) <= scaled.tolerance
+    assert abs(scaled.x_e - unit.x_e) <= scaled.tolerance
