@@ -68,6 +68,7 @@ EXIT_DOMAIN = 3
 
 DEFAULT_SIGNAL = "gaussian:0,0.25"
 DEFAULT_PHI = math.pi / 4
+PHI_HELP = "interferometer phase (rad), only checked and recorded: F and G depend on x alone"
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +239,7 @@ def cmd_chain(args: argparse.Namespace) -> tuple[int, Files, dict]:
 def cmd_sweep(args: argparse.Namespace) -> tuple[int, Files, dict]:
     _check_bracket(args)
     _check_indexable(args.steps, "--steps")
+    check_phase(args.phi)
     xs = np.linspace(args.x_min, args.x_max, args.steps)
 
     if args.mode == "closed":
@@ -254,6 +256,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[int, Files, dict]:
 
 def cmd_optimize(args: argparse.Namespace) -> tuple[int, Files, dict]:
     _check_bracket(args)
+    check_phase(args.phi)
     policy = GridPolicy(n_points=args.grid_n)
     signal = _load_signal(args.signal, policy)
     search = {"lo": args.x_min, "hi": args.x_max}
@@ -321,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--steps", type=_positive_int, required=True)
     sweep.add_argument("--mode", choices=("closed", "numeric"), required=True)
     sweep.add_argument("--signal", type=_signal_arg, default=DEFAULT_SIGNAL)
-    sweep.add_argument("--phi", type=float, default=DEFAULT_PHI)
+    sweep.add_argument("--phi", type=float, default=DEFAULT_PHI, help=PHI_HELP)
     sweep.add_argument("--grid-n", type=_positive_int, default=DEFAULT_GRID_POINTS)
     sweep.add_argument("--outcome-nodes", type=_positive_int, default=OUTCOME_NODES,
                        help="accepted and recorded in the manifest, but not read: the "
@@ -333,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--signal", type=_signal_arg, default=DEFAULT_SIGNAL)
     optimize.add_argument("--tol", type=float, default=None,
                           help="search tolerance (default: 1e-4 closed, 1e-3 numeric)")
-    optimize.add_argument("--phi", type=float, default=DEFAULT_PHI)
-    optimize.add_argument("--sigma-probe", type=float, default=None)
+    optimize.add_argument("--phi", type=float, default=DEFAULT_PHI, help=PHI_HELP)
+    optimize.add_argument("--sigma-probe", type=float, default=None,
+                          help="probe width; the report adds the phase that realizes x_m")
     optimize.add_argument("--x-min", type=float, default=0.2)
     optimize.add_argument("--x-max", type=float, default=5.0)
     optimize.add_argument("--grid-n", type=_positive_int, default=1024)

@@ -105,8 +105,9 @@ def _golden_section(objective: Callable[[float], float], a: float, b: float, tol
 
 
 def _bisect(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """A root of fn between lo and hi: an end or midpoint where fn is exactly 0, or the
-    midpoint of the first bracket no wider than tol or that no float splits."""
+    """x_e, the F = G crossing, as a root of fn = F - G between lo and hi: an end or
+    midpoint where fn is exactly 0, or the midpoint of the first bracket no wider than tol
+    or that no float splits."""
     f_lo, f_hi = fn(lo), fn(hi)
     if f_lo == 0.0:
         return lo
@@ -114,7 +115,8 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> f
         return hi
     if (f_lo < 0.0) == (f_hi < 0.0):
         raise NoSignChangeError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={f_lo:.6g}, f(hi)={f_hi:.6g}"
+            f"no sign change on [{lo}, {hi}]: F - G, zero at x_e (the F = G crossing), is "
+            f"{f_lo:.6g} at x={lo} and {f_hi:.6g} at x={hi}"
         )
     a, b, f_a = lo, hi, f_lo
     while True:

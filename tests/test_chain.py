@@ -8,6 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.stats import norm
 
@@ -253,6 +255,26 @@ def test_zero_outcome_nodes_raises_instead_of_taking_the_default(route):
     vac = build(VACUUM, q.auto_grid([VACUUM], n_points=256))
     with pytest.raises(InvalidParameterError, match="n_points >= 16, got 0"):
         route(vac, vac, QUARTER_PI, n_outcomes=0)
+
+
+# An even signal and an even probe give an even p.  The outcome nodes sit on the signal
+# lattice with stride k, so on a grid of odd N about 0 the nodes' mirrors -x0 are nodes
+# or none is.  p is compared at node pairs only: interpolating it would be off by 7e-4.
+@given(separation=st.floats(0.0, 3.0), component_variance=st.floats(0.05, 1.0),
+       probe_var=st.floats(0.05, 4.0), phi=st.floats(0.2, 1.35),
+       n_points=st.sampled_from([257, 513, 1025]))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_even_cat_gives_an_even_outcome_density(separation, component_variance, probe_var,
+                                               phi, n_points):
+    spec, probe_spec = q.CatSpec(separation, component_variance), q.GaussianSpec(0.0, probe_var)
+    signal = q.build_state(spec, q.auto_grid([spec], n_points=n_points))
+    probe = build(probe_spec, q.auto_grid([probe_spec], n_points=n_points))
+    p = q.homodyne_distribution(signal, probe, phi)
+    nodes, step = p.grid.points, p.grid.step
+    mirror = np.clip(np.rint((-nodes - p.grid.x_min) / step).astype(int), 0, nodes.size - 1)
+    paired = np.abs(nodes[mirror] + nodes) <= 1e-6 * step
+    assume(paired.any())
+    assert np.max(np.abs(p.density - p.density[mirror])[paired]) <= 1e-14 * p.density.max()
 
 
 def test_homodyne_degenerate_phase():

@@ -14,7 +14,7 @@ import pytest
 
 import qndsim as q
 import qndsim.cli
-from qndsim import checks
+from qndsim import _lapack, checks
 from qndsim.cli import build_parser, main
 
 GAUSSIAN_FLAGS = ["--phi", "0.7854", "--probe-var", "0.25", "--signal", "gaussian:0,0.25"]
@@ -121,6 +121,8 @@ def test_manifest_lists_exactly_the_files_produced(tmp_path, command, produced):
     ["sweep", "--mode", "closed", "--x-min", "0.5", "--x-max", "2", "--steps", "3"],
     ["optimize", "--mode", "closed", "--sigma-probe", "0.6"],
     ["validate", "--suite", "limits"],
+    ["sweep", "--mode", "numeric", "--x-min", "0.5", "--x-max", "2", "--steps", "3",
+     "--grid-n", "256"],  # records the unread --outcome-nodes default
 ])
 def test_manifest_config_records_every_parsed_flag(tmp_path, command):
     argv = [*command, "--out", str(tmp_path / "run")]
@@ -450,6 +452,29 @@ def test_optimize_closed_keeps_to_its_bracket(tmp_path, capsys):
     assert "no sign change on [2.0, 3.0]" in capsys.readouterr().err
 
 
+def test_optimize_names_the_missing_crossing(tmp_path, capsys):
+    # the components are 200 sigma apart: x_m is found, but F > G over all of [0.2, 5]
+    out = tmp_path / "far-cat"
+    code = main(["optimize", "--mode", "numeric", "--signal", "cat:50,0.25", "--phi", "0.7",
+                 "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "no sign change on [0.2, 5.0]: F - G, zero at x_e (the F = G crossing)" in err
+    assert "0.400068 at x=0.2 and 0.982407 at x=5.0" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--mode", "closed", "--steps", "3", "--x-min", "0.5", "--x-max", "2"],
+    ["optimize", "--mode", "closed"],
+])
+def test_closed_mode_checks_the_phase_it_records(tmp_path, capsys, command):
+    out = tmp_path / "phase"
+    assert main([*command, "--phi", "5", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "phi=5.0 is degenerate" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["optimize", "--mode", "closed"],
     ["optimize", "--mode", "numeric", "--grid-n", "256"],
@@ -566,13 +591,26 @@ def test_csv_values_round_trip_exactly(tmp_path):
         assert g_val == q.gaussian_distribution_fidelity(x)
 
 
-def test_cli_import_loads_no_scipy_module():
-    # dgttrf and dgttrs come from the OpenBLAS numpy bundles; scipy is a test dependency only
-    code = "import sys, qndsim.cli; print(*sorted(sys.modules))"
+def test_cli_import_loads_no_scipy_module(tmp_path):
+    # dgttrf and dgttrs come from the OpenBLAS numpy bundles; scipy is a test dependency only.
+    # A fresh process imports the CLI and runs the filter-route sweep, the cat chain and
+    # validate's pipeline group (the one CLI route through feedback_displace, output_squeeze
+    # and beam_splitter_transform); where numpy bundles no OpenBLAS, the spline fit imports
+    # scipy's dgttrf by design, so only the import is checked.
+    runs = [
+        ["sweep", "--mode", "numeric", "--steps", "3", "--x-min", "0.5", "--x-max", "2"],
+        ["chain", "--phi", "0.7", "--probe-var", "0.25", "--signal", "cat:1.8,0.2025",
+         "--outcome=-0.5,0,0.8"],
+        ["validate", "--suite", "all"],
+    ] if _lapack._DGTTRF is not None else []
+    runs = [[*argv, "--out", str(tmp_path / argv[0])] for argv in runs]
+    code = ("import sys; from qndsim.cli import main\n"
+            f"for argv in {runs!r}: assert main(argv) == 0, argv\n"
+            "print(*sorted(sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(Path(q.__file__).parents[1])}
     loaded = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
+    ).stdout.splitlines()[-1].split()  # validate prints its checks first
     assert "qndsim.cli" in loaded
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
 

@@ -505,6 +505,26 @@ def test_state_fidelity_closed_form_increasing(x, bump):
     assert q.gaussian_state_fidelity(x + bump) > q.gaussian_state_fidelity(x)
 
 
+# The probe route reads sigma_p and phi only through x = sigma_p / (sigma_s tan phi): the
+# same x reached by squeezing the probe or by tuning the phase gives the same F and G.
+@given(mean=st.floats(-1e3, 1e3), variance=st.floats(0.05, 0.5), x=st.floats(0.3, 5.0),
+       phis=st.tuples(st.floats(0.2, 1.35), st.floats(0.2, 1.35)))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_probe_route_depends_on_the_filter_ratio_alone(mean, variance, x, phis):
+    spec = q.GaussianSpec(mean, variance)
+    signal = q.build_gaussian(spec, q.auto_grid([spec], n_points=1024))
+    pairs = []
+    for phi in phis:
+        probe_spec = q.GaussianSpec(0.0, (x * math.sqrt(variance) * math.tan(phi)) ** 2)
+        probe = q.build_gaussian(probe_spec, q.auto_grid([probe_spec], n_points=1024))
+        pairs.append(fidelity_pair(signal, probe, phi))
+    first, second = pairs
+    assert abs(first.F - second.F) <= 1e-14
+    assert abs(first.G - second.G) <= 1e-14
+    assert abs(first.F - q.gaussian_state_fidelity(x)) <= 1e-9
+    assert abs(first.G - q.gaussian_distribution_fidelity(x)) <= 1e-9
+
+
 def per_outcome_state_fidelity(signal, probe, phi, n_outcomes):
     """F as a sum over outcomes of p(x0) |<psi_s|psi_x0>|^2, one state at a time."""
     p = q.homodyne_distribution(signal, probe, phi, n_outcomes=n_outcomes)

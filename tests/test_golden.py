@@ -5,9 +5,12 @@ file it writes but manifest.json (which holds a timestamp) with golden/<case>/. 
 the Python (major.minor), numpy and scipy versions recorded in golden/versions.json the
 bytes must be equal.  Under others the spline solve, matrix products and FFTs may round
 differently, so the parsed numbers are compared within RTOL (relative) and ATOL
-(absolute, for values that are zero up to roundoff) instead.  versions.json also records
-whether `qndsim._lapack` found the dgttrf bundled with numpy; the bytes do not depend on
-it, since scipy's dgttrf and dgttrs (the fallback) give the same bits.
+(absolute, for values that are zero up to roundoff) instead.
+
+Every case runs on both band solvers of `qndsim._lapack`: the dgttrf and dgttrs of the
+OpenBLAS bundled with numpy (skipped where numpy bundles none), and scipy's, the
+fallback, selected by setting `_DGTTRF` and `_DGTTRS` to None as on a numpy without that
+library.  Both are held to the same golden files.
 
 After a change that moves output bytes on purpose, regenerate the files with
 
@@ -49,7 +52,7 @@ CASES = {
 
 
 def versions() -> dict:
-    """What the output bytes depend on, and whether the bundled dgttrf was found."""
+    """What the output bytes depend on."""
     try:
         scipy_version = metadata.version("scipy")
     except metadata.PackageNotFoundError:
@@ -58,7 +61,6 @@ def versions() -> dict:
         "python": ".".join(platform.python_version_tuple()[:2]),
         "numpy": np.__version__,
         "scipy": scipy_version,
-        "bundled_dgttrf": _lapack._DGTTRF is not None,
     }
 
 
@@ -90,15 +92,22 @@ def numbers(name: str, data: bytes) -> tuple[list, np.ndarray]:
     return [strip(json.loads(text))], np.array(found)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_outputs_match_golden_files(tmp_path, name):
+@pytest.mark.parametrize("name, solver", [
+    *(pytest.param(name, "bundled", id=name) for name in sorted(CASES)),
+    *(pytest.param(name, "scipy", id=f"{name}-scipy") for name in sorted(CASES)),
+])
+def test_cli_outputs_match_golden_files(tmp_path, monkeypatch, name, solver):
+    if solver == "scipy":
+        monkeypatch.setattr(_lapack, "_DGTTRF", None)
+        monkeypatch.setattr(_lapack, "_DGTTRS", None)
+    elif _lapack._DGTTRF is None:
+        pytest.skip("numpy bundles no OpenBLAS dgttrf here")
     expected_dir = GOLDEN / name
     expected = {p.name: p.read_bytes() for p in sorted(expected_dir.iterdir())}
     got = run_case(name, tmp_path / "out")
     assert sorted(got) == sorted(expected)
     recorded = json.loads((GOLDEN / "versions.json").read_text())
-    same_versions = all(recorded[key] == value for key, value in versions().items()
-                        if key != "bundled_dgttrf")
+    same_versions = all(recorded[key] == value for key, value in versions().items())
     for file_name, data in got.items():
         if same_versions:
             assert data == expected[file_name], f"{name}/{file_name} differs from the golden bytes"

@@ -317,3 +317,20 @@ def test_cat_report_is_scale_invariant(separation, variance, scale):
     _, scaled = numeric_report(q.CatSpec(scale * separation, scale**2 * variance))
     assert abs(scaled.x_m - unit.x_m) <= scaled.tolerance
     assert abs(scaled.x_e - unit.x_e) <= scaled.tolerance
+
+
+@given(separation=st.floats(0.0, 3.0), variance=st.floats(0.05, 1.0),
+       scale=st.sampled_from([0.1, 0.5, 3.0, 17.0, 1e3]))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_cat_curve_is_scale_invariant(separation, variance, scale):
+    xs = np.linspace(0.3, 5.0, 8)
+
+    def curve(spec):
+        return q.numeric_trade_off_curve(q.build_state(spec, q.auto_grid([spec], n_points=512)),
+                                         xs, 0.7)
+
+    unit = curve(q.CatSpec(separation, variance))
+    scaled = curve(q.CatSpec(scale * separation, scale**2 * variance))
+    for a, b in zip(unit, scaled):
+        assert abs(a.F - b.F) <= 1e-13
+        assert abs(a.G - b.G) <= 1e-13
