@@ -6,15 +6,19 @@ Usage (from anywhere; qndsim is imported from this checkout's src/):
 
 The file holds {"records": [...]}; the record is appended, so a parent record and a
 change record made one after the other on one machine sit side by side.  Every time is
-in seconds and every memory figure in MB.  BLAS pools are pinned to one thread, here
-and in every child process, as perfbench/run.py pins them.  A record holds:
+in seconds and every memory figure in MB (2**20 bytes).  BLAS pools are pinned to one
+thread, here and in every child process, as perfbench/run.py pins them.  A record holds:
 
   layers          perfbench/scaling.py's `layer_table()` (vacuum signal and probe,
                   phi = pi/4, N in {512, 2048, 8192}, timeit autorange per call)
   pairs           `fidelity_pair` and `_LatticeRoute.pair` on the same inputs and sizes;
                   the route is built once, as a sweep builds it once for all its points
+  joint           the tracemalloc peak of `beam_splitter_transform` mixing a cat (2, 0.25)
+                  and vacuum at phi = 0.7, as tests/test_chain.py's readout inputs, and of
+                  the joint state's `norm()`, `marginal(1)` and `marginal(2)`, N in
+                  {768, 2048}
   import          `import qndsim.cli` in a fresh process: the process's wall time and
-                  peak RSS, medians of 5 processes
+                  peak RSS (its own VmHWM), medians of 5 processes
   cli_fresh       chain, a 20-step numeric sweep, a numeric cat optimize and validate
                   --suite all, each the median wall time of 5 fresh processes
   cli_in_process  `qndsim.cli.main` on perfbench/workloads.py's sweep and search argv
@@ -37,6 +41,7 @@ import subprocess
 import sys
 import tempfile
 import timeit
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -56,6 +61,8 @@ from qndsim.fidelity import _LatticeRoute  # noqa: E402
 FRESH_RUNS = 5
 IN_PROCESS_RUNS = 200
 WORKLOAD_SEED = 1
+JOINT_SIZES = (768, 2048)
+JOINT_PHI = 0.7
 CLI_COMMANDS = {
     "chain": ["chain", "--phi", "0.7854", "--probe-var", "0.25", "--outcome", "sample:1000",
               "--seed", "7"],
@@ -65,9 +72,12 @@ CLI_COMMANDS = {
 }
 # Fresh processes are timed with no subprocess timeout: with one, Popen.wait polls at
 # intervals of up to 50 ms, and the wall times land on that step.
+# The child's own peak RSS is its VmHWM: Linux carries the spawning process's high-water
+# mark across exec into the child's ru_maxrss, so that would read this process's peak.
 IMPORT_PROBE = (
-    "import resource, sys; import qndsim.cli; "
-    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)"
+    "import qndsim.cli; "
+    "print(next(int(line.split()[1]) for line in open('/proc/self/status') "
+    "if line.startswith('VmHWM:')) / 1024.0)"
 )
 
 
@@ -91,6 +101,36 @@ def pairs() -> dict[str, float]:
             lambda: qndsim.fidelity.fidelity_pair(signal, probe, scaling.PHI)
         )
         out[f"fidelity._LatticeRoute.pair.N{n}.s"] = autorange_s(lambda: route.pair(width))
+    return out
+
+
+def traced_peak_mb(call):
+    """call()'s result, and the peak of the memory it traced, in MB."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20
+
+
+def joint() -> dict[str, float]:
+    """Peaks of mixing a cat and vacuum into a joint state, and of its reductions."""
+    cat = qndsim.CatSpec(2.0, 0.25)
+    vacuum = qndsim.GaussianSpec(0.0, qndsim.VACUUM_VARIANCE)
+    out = {}
+    for n in JOINT_SIZES:
+        policy = qndsim.GridPolicy(n_points=n)
+        signal = qndsim.build_state(cat, policy.grid_for([cat]))
+        probe = qndsim.build_gaussian(vacuum, policy.grid_for([vacuum]))
+        state, peak = traced_peak_mb(
+            lambda: qndsim.beam_splitter_transform(signal, probe, JOINT_PHI)
+        )
+        out[f"chain.beam_splitter_transform.N{n}.peak_mb"] = peak
+        for name, call in (("norm", state.norm), ("marginal1", lambda: state.marginal(1)),
+                           ("marginal2", lambda: state.marginal(2))):
+            out[f"chain.JointWaveFunction.{name}.N{n}.peak_mb"] = traced_peak_mb(call)[1]
     return out
 
 
@@ -191,6 +231,7 @@ def record(label: str) -> dict:
             "layers": table,
             "layers_refused": refused,
             "pairs": pairs(),
+            "joint": joint(),
             "import": import_cost(),
             "cli_fresh": cli_fresh(workdir),
             "cli_in_process": cli_in_process(workdir),

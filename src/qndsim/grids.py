@@ -545,10 +545,11 @@ def amplitude_interpolator(wf: WaveFunction) -> Callable[..., np.ndarray]:
             out_c = flat_out[start : start + SPLINE_CHUNK]
             s, k, s2, s3, v, term = work[:, : x_c.size]
             k = k.view(np.intp)
-            np.multiply(x_c, inv_step, out=s)
-            s += 0.5 - lo * inv_step  # int(s) is k or k - 1; the upper knot decides
-            np.minimum(s, n - 1.0, out=s)
-            with np.errstate(invalid="ignore"):  # NaN and inf: the cast, and inf - inf
+            # NaN and +-inf (or a product overflowing to it): the cast, and inf - inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(x_c, inv_step, out=s)
+                s += 0.5 - lo * inv_step  # int(s) is k or k - 1; the upper knot decides
+                np.minimum(s, n - 1.0, out=s)
                 np.copyto(k, s, casting="unsafe")  # NaN, -inf: negative, read as 0 by "clip"
                 k += np.greater_equal(x_c, upper.take(k, mode="clip", out=s))
                 np.subtract(x_c, lower.take(k, mode="clip", out=s), out=s)

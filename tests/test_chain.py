@@ -125,6 +125,49 @@ def test_beam_splitter_builds_row_blocks():
     assert peak < 12e6
 
 
+def random_joint(n1, n2, dtype):
+    rng = np.random.default_rng([n1, n2])
+    amp = rng.standard_normal((n1, n2)).astype(dtype)
+    if dtype == np.complex128:
+        amp.imag = rng.standard_normal((n1, n2))
+    return q.JointWaveFunction(q.Grid(-5.0, 4.0, n1), q.Grid(-3.0, 6.0, n2), amp)
+
+
+def assert_mass_matches_one_shot_products(joint):
+    prob = np.abs(joint.amplitudes) ** 2
+    w1, w2 = joint.grid1.weights, joint.grid2.weights
+    assert np.array_equal(joint._mass(1).view(np.uint64), (prob @ w2).view(np.uint64))
+    assert np.array_equal(joint._mass(2).view(np.uint64), (w1 @ prob).view(np.uint64))
+    assert joint.norm() == math.sqrt(float(w1 @ (prob @ w2)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("shape", [(768, 768), (1000, 1000), (37, 3000), (3000, 37)])
+def test_joint_mass_blocks_match_one_shot_products_bitwise(shape, dtype):
+    # blocks of 16 rows or columns at 768 and 1000; 3000 x 37 reduces 440 rows or 8
+    # columns at a time.  Blocks of 12 broke the bits at 37 x 3000 and 3000 x 37.
+    assert_mass_matches_one_shot_products(random_joint(*shape, dtype))
+
+
+def test_joint_mass_of_the_readout_state_matches_one_shot_products_bitwise():
+    assert_mass_matches_one_shot_products(readout_joint_state(768, 1.3))
+
+
+@pytest.mark.parametrize("reduce", ["norm", "marginal1", "marginal2"])
+def test_joint_reductions_form_no_full_probability_matrix(reduce):
+    # |A|^2 whole is 4.7 MB on this 768 x 768 state; blocks of 16 rows or columns peak
+    # at 0.2 MB
+    joint = readout_joint_state(768, 1.3)
+    call = joint.norm if reduce == "norm" else lambda: joint.marginal(int(reduce[-1]))
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+
+
 # --- homodyne ----------------------------------------------------------------
 
 
@@ -623,6 +666,26 @@ def test_outcome_record_maps_reading():
     event = q.make_outcome(p, 0.5, QUARTER_PI)
     assert event.raw_X == -0.5 * math.sin(QUARTER_PI)
     assert event.density_at_x0 == pytest.approx(gaussian_density(0.5, 0.0, 0.5), rel=1e-4)
+
+
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_outcome_entry_points_refuse_a_nonfinite_value_by_name(x0):
+    # unchecked, a NaN x0 surfaces as Outcome(nan, nan, nan), as a null density at x0=nan
+    # or as a mode-2 reading outside the grid
+    grid = q.auto_grid([VACUUM])
+    vac = build(VACUUM, grid)
+    p = q.homodyne_distribution(vac, vac, 0.7)
+    joint = readout_joint_state(300)
+    calls = [
+        ("outcome x0", lambda: q.make_outcome(p, x0, 0.7)),
+        ("outcome x0", lambda: q.conditional_output(vac, vac, 0.7, x0)),
+        ("outcome x0", lambda: q.conditional_state_raw(vac, vac, 0.7, x0)),
+        ("outcome x0", lambda: q.feedback_displace(vac, x0, 0.7)),
+        ("mode-2 reading", lambda: joint.conditioned_on_mode2(x0)),
+    ]
+    for what, call in calls:
+        with pytest.raises(InvalidParameterError, match=re.escape(f"{what} must be finite, got {x0}")):
+            call()
 
 
 # --- sampling ----------------------------------------------------------------

@@ -163,7 +163,16 @@ def test_out_naming_a_regular_file_exits_2(tmp_path, capsys):
 def test_chain_nonfinite_outcome_exits_3(tmp_path, capsys, flag):
     code = main(["chain", *GAUSSIAN_FLAGS, *flag, "--out", str(tmp_path / "bad")])
     assert code == 3
-    assert "outcome density p(x0)=0.000e+00" in capsys.readouterr().err
+    assert "error: outcome x0 must be finite, got " in capsys.readouterr().err
+
+
+def test_chain_huge_finite_outcome_exits_3_without_an_overflow_warning(tmp_path, capsys):
+    # 1e308 / step overflows to inf in the spline evaluator; no warning may escape (it is
+    # an error under pyproject's filter and under `python -W error`)
+    out = tmp_path / "far"
+    assert main(["chain", *GAUSSIAN_FLAGS, "--outcome=1e308", "--out", str(out)]) == 3
+    assert "outcome density p(x0)=0.000e+00 at x0=1e+308" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_chain_infinite_grid_span_exits_3_naming_the_grid(tmp_path, capsys):
