@@ -11,7 +11,8 @@ thread, here and in every child process, as perfbench/run.py pins them.  A recor
 
   layers          perfbench/scaling.py's `layer_table()` (vacuum signal and probe,
                   phi = pi/4, N in {512, 2048, 8192}, timeit autorange per call)
-  pairs           `fidelity_pair` and `_LatticeRoute.pair` on the same inputs and sizes;
+  pairs           `_LatticeRoute.pair` on the same inputs and sizes (the layers time
+                  `fidelity_pair` already, as `state_fidelity` and `distribution_fidelity`);
                   the route is built once, as a sweep builds it once for all its points
   joint           the tracemalloc peak of `beam_splitter_transform` mixing a cat (2, 0.25)
                   and vacuum at phi = 0.7, as tests/test_chain.py's readout inputs, and of
@@ -87,19 +88,14 @@ def autorange_s(call) -> float:
 
 
 def pairs() -> dict[str, float]:
-    """`fidelity_pair` and `_LatticeRoute.pair` on scaling.py's inputs, per call."""
+    """`_LatticeRoute.pair` on scaling.py's inputs, per call."""
     import scaling
 
     out = {}
     for n in scaling.SIZES:
         grid = qndsim.auto_grid([scaling.VACUUM], n_points=n)
-        signal = qndsim.build_gaussian(scaling.VACUUM, grid)
-        probe = qndsim.build_gaussian(scaling.VACUUM, grid)
-        route = _LatticeRoute(signal)
+        route = _LatticeRoute(qndsim.build_gaussian(scaling.VACUUM, grid))
         width = scaling.VACUUM.sigma / np.tan(scaling.PHI)
-        out[f"fidelity.fidelity_pair.N{n}.s"] = autorange_s(
-            lambda: qndsim.fidelity.fidelity_pair(signal, probe, scaling.PHI)
-        )
         out[f"fidelity._LatticeRoute.pair.N{n}.s"] = autorange_s(lambda: route.pair(width))
     return out
 

@@ -156,6 +156,13 @@ def _load_signal(signal: str, policy: GridPolicy) -> WaveFunction:
         grid = Grid(float(x[0]), float(x[-1]), len(x))
         if not np.allclose(x, grid.points, rtol=0.0, atol=1e-9 * (grid.x_max - grid.x_min)):
             raise InvalidParameterError(f"signal file {path} is not uniformly spaced")
+        # the squared norm sum w |amp|^2 is at most max|amp|^2 (x_max - x_min)
+        peak = float(np.max(np.abs(amp)))
+        if peak * peak * (grid.x_max - grid.x_min) >= 2.0**1023:
+            raise InvalidParameterError(
+                f"signal file {path} has amplitudes up to {peak:.3g}, too large to square "
+                "and sum in floating point"
+            )
         return WaveFunction.normalized(grid, amp)
     spec = parse_state_spec(signal)
     return build_state(spec, policy.grid_for([spec]))

@@ -232,17 +232,9 @@ class _LatticeRoute:
         kappa_hat = np.fft.fft(kappa[lowest - first :], 1 << (last - lowest).bit_length())
         kappa_hat *= kappa_hat.conj()
         r = np.fft.ifft(kappa_hat)[:n].real * (t * h)  # Re R(d), d = 0 .. N - 1
-        z_lattice = r[0]
-        f_raw = self.state_fidelity(np.divide(r, z_lattice, out=r))
-        # |kappa(d)|, d = 1 - N .. N - 1, formed in order: numpy's abs of a reversed view
-        # takes its scalar hypot, whose last bits differ
-        modulus = np.abs(kappa[1 - n - first : n - first])
-        lagged = np.empty(2 * n)
-        lagged[:n] = modulus[n - 1 :: -1]
-        lagged[n] = 0.0
-        lagged[n + 1 :] = modulus[: n - 1 : -1]
-        np.multiply(t, np.square(lagged, out=lagged), out=lagged)  # P(-l) = t |kappa(-l)|^2
-        return self._figures(lagged, f_raw, z_lattice)
+        power = t * np.abs(kappa[1 - n - first : n - first]) ** 2  # P(d), d = 1 - N .. N - 1
+        lagged = np.concatenate((power[n - 1 :: -1], [0.0], power[: n - 1 : -1]))
+        return self._figures(lagged, self.state_fidelity(r / r[0]), r[0])
 
 
 @dataclass(frozen=True, eq=False)

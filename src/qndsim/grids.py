@@ -46,6 +46,12 @@ class Grid:
             raise InvalidParameterError(
                 f"grid needs finite bounds and step, got [{self.x_min}, {self.x_max}]"
             )
+        # below 2**511 the square of a point, or of a difference of two points, is finite
+        if max(abs(self.x_min), abs(self.x_max)) >= 2.0**511:
+            raise InvalidParameterError(
+                f"grid [{self.x_min}, {self.x_max}] has a bound of magnitude 2**511 or more, "
+                "where squaring its points can overflow"
+            )
         # Above 2**16 float spacings, rounding the points moves F and G by at most 1e-10
         # against the same state centred at 0 (8.3e-11 at 2**16.3 spacings; 1.3e-4 at
         # 2**2.3), and no two points are equal or out of order (that needs only 4).

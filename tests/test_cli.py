@@ -89,6 +89,11 @@ def test_chain_degenerate_phase_exits_3(tmp_path, capsys):
     ["--phi", "1.6", "--probe-var", "0.25", "--outcome", "0.0"],  # degenerate phase
     [*GAUSSIAN_FLAGS, "--outcome", "50"],  # null outcome, raised after p is computed
     ["--phi", "inf", "--probe-var", "0.25", "--outcome", "0.0"],  # sin(inf) is undefined
+    # grids past 2**511, where squaring a point overflowed and exited 1 under -W error
+    ["--phi", "0.7", "--probe-var", "1e307", "--outcome", "0"],
+    ["--phi", "0.7", "--probe-var", "0.25", "--outcome", "0", "--signal", "gaussian:0,1e307"],
+    ["--phi", "0.7", "--probe-var", "0.25", "--outcome", "0", "--signal", "cat:1,1e307"],
+    ["--phi", "0.7", "--probe-var", "0.25", "--outcome", "0", "--grid-span", "1e160"],
 ])
 def test_chain_domain_error_writes_nothing(tmp_path, flags):
     out = tmp_path / "bad"
@@ -336,6 +341,10 @@ def test_chain_file_signal_with_header_row_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("rows, message", [
     ([(0.1 * i, 1.0) for i in range(15)], "at least 16 rows"),
     ([(0.1 * i + (0.05 if i == 7 else 0.0), 1.0) for i in range(20)], "not uniformly spaced"),
+    # squaring 1e200, or summing 64 squares of 6e153, overflowed, and normalizing named no input
+    ([(x, 1e200 * math.exp(-x * x)) for x in np.linspace(-4.0, 4.0, 64).tolist()],
+     "too large to square and sum"),
+    ([(x, 6e153) for x in np.linspace(-4.0, 4.0, 64).tolist()], "too large to square and sum"),
 ])
 def test_chain_bad_file_signal_exits_3_writing_nothing(tmp_path, capsys, rows, message):
     path = tmp_path / "signal.csv"
@@ -358,6 +367,14 @@ def test_signal_beyond_float_resolution_exits_3_writing_nothing(tmp_path, capsys
     out = tmp_path / "run"
     assert main([*command, "--signal", "gaussian:1e16,1", "--out", str(out)]) == 3
     assert "not above 2**16 times the float spacing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_numeric_sweep_signal_grid_past_2_511_exits_3_writing_nothing(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["sweep", "--mode", "numeric", "--steps", "2", "--x-min", "1", "--x-max", "2",
+                 "--signal", "gaussian:0,1e307", "--out", str(out)]) == 3
+    assert "has a bound of magnitude 2**511 or more" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -691,7 +691,7 @@ def reference_pair(route, width):
 
 
 def reference_probe_pair(route, probe, phi):
-    """`_LatticeRoute.probe_pair` as it was before its steps ran in place."""
+    """`_LatticeRoute.probe_pair` with its figures taken by `reference_figures`."""
     t, h, n = math.tan(phi), route.step, route.lags.size
     lowest = math.ceil(probe.grid.x_min / (t * h))
     first = min(lowest, 1 - n)

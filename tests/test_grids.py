@@ -59,6 +59,15 @@ def test_grid_refuses_infinite_bounds_or_step(bounds):
         q.Grid(*bounds, 16)
 
 
+@pytest.mark.parametrize("bounds", [(-(2.0**511), 0.0), (0.0, 2.0**511), (-1e160, 1e160)])
+def test_grid_refuses_bounds_whose_squares_can_overflow(bounds):
+    with pytest.raises(InvalidParameterError, match=r"bound of magnitude 2\*\*511 or more"):
+        q.Grid(*bounds, 16)
+    below = math.nextafter(2.0**511, 0.0)
+    grid = q.Grid(-below, below, 16)
+    assert math.isfinite((grid.x_max - grid.x_min) ** 2)
+
+
 def test_vacuum_peak_amplitude():
     # odd point count puts x = 0 on the grid; peak is (pi/2)^(-1/4)
     vac = q.build_gaussian(VACUUM, q.Grid(-10.0, 10.0, 2049))
