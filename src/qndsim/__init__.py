@@ -17,7 +17,6 @@ from .chain import (
     feedback_displace,
     homodyne_distribution,
     make_outcome,
-    outcome_grid,
     output_squeeze,
     sample_outcomes,
 )
@@ -33,8 +32,6 @@ from .errors import (
     QndSimError,
 )
 from .fidelity import (
-    DensityMatrixGrid,
-    FidelityPair,
     distribution_fidelity,
     gaussian_distribution_fidelity,
     gaussian_state_fidelity,
@@ -60,6 +57,7 @@ from .grids import (
     parse_state_spec,
     photon_number_paper,
 )
+from .kernel import DensityMatrixGrid, FidelityPair, outcome_grid
 from .optimize import (
     TradeOffReport,
     equal_fidelity_point,

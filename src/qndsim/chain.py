@@ -21,12 +21,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import (
-    DegeneratePhaseError,
-    GridTooNarrowError,
-    InvalidParameterError,
-    NullOutcomeError,
-)
+from .errors import GridTooNarrowError, InvalidParameterError, NullOutcomeError
 from .grids import (
     Distribution,
     Grid,
@@ -35,20 +30,9 @@ from .grids import (
     _splines_at,
     amplitude_interpolator,
 )
+from .kernel import NULL_OUTCOME_DENSITY, _outcome_pass, check_phase
 
-PHASE_MARGIN = 1e-6  # sin(phi) and cos(phi) must both exceed this
-NULL_OUTCOME_DENSITY = 1e-12  # conditioning below this density is meaningless
 SUPPORT_CUTOFF = 1e-8  # relative amplitude defining the numerical support
-OUTCOME_SPAN_SIGMAS = 8.0
-
-
-def check_phase(phi: float) -> None:
-    """Reject phases where either interferometer port coupling degenerates."""
-    if not (math.isfinite(phi) and math.sin(phi) > PHASE_MARGIN and math.cos(phi) > PHASE_MARGIN):
-        raise DegeneratePhaseError(
-            f"phi={phi} is degenerate: need sin(phi) > {PHASE_MARGIN} and "
-            f"cos(phi) > {PHASE_MARGIN}, i.e. phi strictly inside (0, pi/2)"
-        )
 
 
 def _check_finite(value: float, what: str) -> None:
@@ -171,75 +155,6 @@ def beam_splitter_transform(
         block[...] = s_eval(y1 * c - y2 * s)
         block *= p_eval(y1 * s + y2 * c)
     return JointWaveFunction(out_grid1, out_grid2, amp)
-
-
-def outcome_grid(
-    signal: WaveFunction,
-    probe: WaveFunction,
-    phi: float,
-    n_points: int | None = None,
-) -> Grid:
-    """Outcome nodes y_0 + (o + k j) h on the signal lattice (x_min y_0, step h, integer o,
-    possibly negative), covering mean +/- OUTCOME_SPAN_SIGMAS combined sigma.
-
-    n_points (default: the signal's) sets k = max(1, round(r / h)), r the step of n_points
-    nodes over the span, capped so that k h is within the filter width sigma_p / tan phi,
-    which p and rho must resolve.  The node count follows from span and k: rarely n_points.
-    """
-    check_phase(phi)
-    t = math.tan(phi)
-    center = signal.mean() - probe.mean() / t
-    halfspan = OUTCOME_SPAN_SIGMAS * math.sqrt(signal.variance() + probe.variance() / t**2)
-    lo, hi = center - halfspan, center + halfspan
-    requested = Grid(lo, hi, signal.grid.n_points if n_points is None else n_points)
-    y0, h = signal.grid.x_min, signal.grid.step
-    filter_width = math.sqrt(probe.variance()) / t
-    k = max(1, min(round(requested.step / h), math.floor(filter_width / h)))
-    first = math.floor((lo - y0) / h)
-    last = first + k * math.ceil(((hi - y0) / h - first) / k)
-    return Grid(y0 + first * h, y0 + last * h, (last - first) // k + 1)
-
-
-def _row_sums(values: np.ndarray, mass: np.ndarray, k: int, rows: int) -> np.ndarray:
-    """Row j < rows: sum_i values[i + k (rows - 1 - j)] mass[i], by one FFT correlation at
-    the power of two >= len(values) (nothing wraps); with values = kappa, K @ mass without
-    forming K.  The mass may be complex: its transform is conj(fft(conj(mass)))."""
-    size = 1 << (values.size - 1).bit_length()
-    mass_hat = np.conj(np.fft.fft(np.conj(mass), size))
-    return np.fft.ifft(np.fft.fft(values, size) * mass_hat)[k * (rows - 1) :: -k]
-
-
-def _kernel_samples(probe: WaveFunction, t: float, h: float, first: int, size: int) -> np.ndarray:
-    """kappa[e] = psi_p(t h (first + e)) for e < size, read by an FFT at the power of two
-    >= size.  Refuses, before anything is allocated, an FFT numpy cannot index; first and
-    size are Python ints."""
-    bits = (size - 1).bit_length()
-    if np.dtype(np.complex128).itemsize << bits > np.iinfo(np.intp).max:
-        raise InvalidParameterError(
-            f"probe filter width {math.sqrt(probe.variance()) / t:.3g} needs a kernel of about "
-            f"2**{bits} points at the signal grid step {h:.3g}, more than numpy can index"
-        )
-    return amplitude_interpolator(probe)((np.arange(size) + first) * (t * h))
-
-
-def _outcome_pass(
-    signal: WaveFunction, probe: WaveFunction, phi: float, n_outcomes: int | None
-) -> tuple[Grid, np.ndarray, np.ndarray, int]:
-    """The one kernel pass behind p and rho, on `outcome_grid(n_points=n_outcomes)`.
-
-    kappa[e] = psi_p(tan(phi) h (e - o - k (M - 1))) on the signal lattice (step h), so
-    K(x0_j, y_i) = psi_p(tan(phi) (y_i - x0_j)) = kappa[i + k (M - 1 - j)].  Returns the
-    grid, p_raw = t sum_y |K|^2 m (m = |psi_s|^2 w, one `_row_sums` correlation), kappa and
-    the outcome stride k.
-    """
-    ogrid = outcome_grid(signal, probe, phi, n_points=n_outcomes)
-    y0, h, n, m = signal.grid.x_min, signal.grid.step, signal.grid.n_points, ogrid.n_points
-    k = round(ogrid.step / h)
-    last = round((ogrid.x_min - y0) / h) + k * (m - 1)
-    t = math.tan(phi)
-    kappa = _kernel_samples(probe, t, h, -last, n + k * (m - 1))  # `_row_sums` transforms it
-    mass = np.abs(signal.amplitudes) ** 2 * signal.grid.weights
-    return ogrid, t * _row_sums(np.abs(kappa) ** 2, mass, k, m).real, kappa, k
 
 
 def homodyne_distribution(

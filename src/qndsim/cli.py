@@ -35,8 +35,7 @@ import numpy as np
 
 from . import __version__, checks
 from .chain import (
-    _check_indexable, check_phase, conditional_output, homodyne_distribution, make_outcome,
-    sample_outcomes,
+    _check_indexable, conditional_output, homodyne_distribution, make_outcome, sample_outcomes,
 )
 from .errors import InvalidParameterError, QndSimError
 from .fidelity import OUTCOME_NODES
@@ -45,14 +44,15 @@ from .grids import (
     GaussianSpec,
     Grid,
     GridPolicy,
+    StateSpec,
     WaveFunction,
-    build_gaussian,
     build_state,
     density,
     format_state_spec,
     overlap,
     parse_state_spec,
 )
+from .kernel import check_phase
 from .optimize import (
     gaussian_trade_off_report,
     numeric_trade_off_curve,
@@ -69,6 +69,10 @@ EXIT_DOMAIN = 3
 DEFAULT_SIGNAL = "gaussian:0,0.25"
 DEFAULT_PHI = math.pi / 4
 PHI_HELP = "interferometer phase (rad), only checked and recorded: F and G depend on x alone"
+# The trapezoid rule sums a Gaussian of width sigma at step h with a relative error of
+# about 2 exp(-2 pi^2 sigma^2 / h^2), by Poisson summation (Trefethen & Weideman, SIAM
+# Rev. 56, 385, 2014); exp(-2 pi^2 / c^2) <= 1e-10 gives h / sigma <= c = 0.93.
+MAX_STEP_PER_WIDTH = 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +142,21 @@ def _json(payload: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# signal loading
+# state building
+
+
+def _built(spec: StateSpec, policy: GridPolicy) -> WaveFunction:
+    """The spec's state on the policy's grid, refused when the grid step is above
+    MAX_STEP_PER_WIDTH times the spec's component width sigma."""
+    grid = policy.grid_for([spec])
+    if grid.step > MAX_STEP_PER_WIDTH * spec.sigma:
+        raise InvalidParameterError(
+            f"grid [{grid.x_min:.6g}, {grid.x_max:.6g}] x {grid.n_points} has step "
+            f"{grid.step:.3g}, above {MAX_STEP_PER_WIDTH} times the {spec.kind} width "
+            f"sigma = {spec.sigma:.3g}, so it does not resolve the state; "
+            "raise --grid-n or, for chain, narrow --grid-span"
+        )
+    return build_state(spec, grid)
 
 
 def _load_signal(signal: str, policy: GridPolicy) -> WaveFunction:
@@ -164,8 +182,7 @@ def _load_signal(signal: str, policy: GridPolicy) -> WaveFunction:
                 "and sum in floating point"
             )
         return WaveFunction.normalized(grid, amp)
-    spec = parse_state_spec(signal)
-    return build_state(spec, policy.grid_for([spec]))
+    return _built(parse_state_spec(signal), policy)
 
 
 def _check_bracket(args: argparse.Namespace) -> None:
@@ -196,7 +213,7 @@ def cmd_chain(args: argparse.Namespace) -> tuple[int, Files, dict]:
     probe_spec = GaussianSpec(mean=0.0, variance=args.probe_variance)
     check_phase(args.phi)
     signal = _load_signal(args.signal, policy)
-    probe = build_gaussian(probe_spec, policy.grid_for([probe_spec]))
+    probe = _built(probe_spec, policy)
 
     homodyne = homodyne_distribution(signal, probe, args.phi)
     files = {"homodyne.csv": _csv(["x0", "p"], [homodyne.grid.points, homodyne.density])}

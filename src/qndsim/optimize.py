@@ -13,7 +13,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import check_phase
 from .errors import (
     BracketError,
     InvalidParameterError,
@@ -21,14 +20,9 @@ from .errors import (
     NoSignChangeError,
     QndSimError,
 )
-from .fidelity import (
-    FidelityPair,
-    _check_ratio,
-    _LatticeRoute,
-    gaussian_distribution_fidelity,
-    gaussian_state_fidelity,
-)
+from .fidelity import _check_ratio, gaussian_distribution_fidelity, gaussian_state_fidelity
 from .grids import WaveFunction
+from .kernel import FidelityPair, _LatticeRoute, check_phase
 
 GOLDEN_SECTION = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_BRACKET = (0.05, 20.0)

@@ -1,5 +1,6 @@
 """Measurement-chain operations against analytic and cross-route oracles."""
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -257,7 +258,7 @@ def test_outcome_kernel_is_one_vector_and_matches_one_shot_kernel(n_outcomes):
     # FFT correlation against the direct sum: 5e-16 at most, density peak 0.25
     assert np.abs(density - expected.density).max() < 1e-14
     # the complex row sums K @ m that <psi_s|rho|psi_s> squares: 7.8e-16 at most, peak 0.38
-    amp = q.chain._row_sums(kappa, mass, k, ogrid.n_points)
+    amp = q.kernel._row_sums(kappa, mass, k, ogrid.n_points)
     assert np.abs(amp - one_shot @ mass).max() < 1e-14
 
 
@@ -607,14 +608,28 @@ def test_staged_pipeline_matches_cubic_spline_stages_bitwise(x0):
 
 
 def test_conditional_output_gaussian_moments():
-    sig_var, probe_var, phi, x0 = 0.25, 0.4, 0.9, 0.7
-    specs = [q.GaussianSpec(0.0, sig_var), q.GaussianSpec(0.0, probe_var)]
-    grid = q.auto_grid(specs)
-    out = q.conditional_output(build(specs[0], grid), build(specs[1], grid), phi, x0)
-    w = probe_var / math.tan(phi) ** 2
-    assert abs(out.mean() - x0 * sig_var / (sig_var + w)) < 1e-6
-    assert abs(out.variance() - sig_var * w / (sig_var + w)) < 1e-6
-    assert abs(out.norm() - 1.0) < 1e-9
+    # psi_s(x) psi_p((x - x0) t) is the signal times a Gaussian of density variance
+    # v_f = v_p / t^2 centred at x0; each state on its own auto grid, as the CLI builds them
+    # (one shared grid cannot resolve the narrowest outputs: errors of 1.5e-5 there).
+    # Worst errors here: 1.4e-11 (mean), 4.4e-11 (relative variance), 6.0e-12 (overlap^2).
+    signals = [q.GaussianSpec(0.0, 0.25), q.GaussianSpec(0.7, 0.1), q.GaussianSpec(-1.2, 1.5)]
+    probes = [q.GaussianSpec(0.0, v_p) for v_p in (0.0025, 0.25, 25.0)]
+    for signal_spec, probe_spec in itertools.product(signals, probes):
+        signal = build(signal_spec, q.auto_grid([signal_spec]))
+        probe = build(probe_spec, q.auto_grid([probe_spec]))
+        m_s, v_s = signal_spec.mean, signal_spec.variance
+        for phi, x0 in itertools.product((0.3, QUARTER_PI, 1.2), (-0.8, 0.0, 0.5, 1.3)):
+            case = (signal_spec, probe_spec.variance, phi, x0)
+            out = q.conditional_output(signal, probe, phi, x0)
+            v_f = probe_spec.variance / math.tan(phi) ** 2
+            mean = (m_s * v_f + x0 * v_s) / (v_s + v_f)
+            var = v_s * v_f / (v_s + v_f)
+            overlap_sq = (2.0 * math.sqrt(v_s * var) / (v_s + var)
+                          * math.exp(-((m_s - mean) ** 2) / (2.0 * (v_s + var))))
+            assert abs(out.mean() - mean) < 1e-9, case
+            assert abs(out.variance() - var) / var < 1e-9, case
+            assert abs(abs(q.overlap(signal, out)) ** 2 - overlap_sq) < 1e-9, case
+            assert abs(out.norm() - 1.0) < 1e-9, case
 
 
 def test_conditional_output_projective_invariance():

@@ -94,6 +94,10 @@ def test_chain_degenerate_phase_exits_3(tmp_path, capsys):
     ["--phi", "0.7", "--probe-var", "0.25", "--outcome", "0", "--signal", "gaussian:0,1e307"],
     ["--phi", "0.7", "--probe-var", "0.25", "--outcome", "0", "--signal", "cat:1,1e307"],
     ["--phi", "0.7", "--probe-var", "0.25", "--outcome", "0", "--grid-span", "1e160"],
+    # grids too coarse to resolve the state, which wrote a vacuum variance of 0.27974
+    # (--grid-span 1e3) and a homodyne variance 1e-3 off (--grid-n 16)
+    ["--phi", "0.7", "--probe-var", "0.25", "--outcome", "0", "--grid-span", "1e3"],
+    ["--phi", "0.7", "--probe-var", "0.25", "--outcome", "0", "--grid-n", "16"],
 ])
 def test_chain_domain_error_writes_nothing(tmp_path, flags):
     out = tmp_path / "bad"
@@ -189,6 +193,31 @@ def test_chain_infinite_grid_span_exits_3_naming_the_grid(tmp_path, capsys):
     assert "error: grid needs finite bounds and step, got [" in capsys.readouterr().err
     assert [str(w.message) for w in caught] == []
     assert not (tmp_path / "span").exists()
+
+
+CHAIN_FLAGS = ["chain", "--phi", "0.7", "--probe-var", "0.25", "--outcome", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*CHAIN_FLAGS, "--grid-span", "1e3"],  # exited 0 with the vacuum's variance 0.27974
+    [*CHAIN_FLAGS, "--grid-span", "1e4"],  # named n_points of an outcome grid
+    [*CHAIN_FLAGS, "--grid-span", "1e5"],  # could not normalize the state
+    [*CHAIN_FLAGS, "--grid-n", "16"],  # exited 0 with a homodyne variance 1e-3 off
+    ["sweep", "--mode", "numeric", "--steps", "3", "--x-min", "0.5", "--x-max", "2",
+     "--grid-n", "16"],
+    ["optimize", "--mode", "numeric", "--grid-n", "16"],
+])
+def test_grid_too_coarse_for_the_state_exits_3_naming_the_grid(tmp_path, capsys, argv):
+    out = tmp_path / "coarse"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid [") and "has step" in err
+    assert "times the gaussian width sigma = 0.5" in err and "--grid-n" in err
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
 
 
 def test_chain_too_narrow_probe_exits_3_naming_the_grid_step(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import qndsim as q
 import qndsim.chain
 import qndsim.fidelity
+import qndsim.kernel
 from qndsim.chain import NULL_OUTCOME_DENSITY
 from qndsim.errors import GridMismatchError, InvalidParameterError
 from qndsim.fidelity import fidelity_pair
@@ -641,6 +642,7 @@ def test_numeric_curve_makes_no_outcome_pass(monkeypatch):
 
     monkeypatch.setattr(qndsim.chain, "_outcome_pass", counting)
     monkeypatch.setattr(qndsim.fidelity, "_outcome_pass", counting)
+    monkeypatch.setattr(qndsim.kernel, "_outcome_pass", counting)
     signal = q.build_gaussian(VACUUM, q.auto_grid([VACUUM], n_points=256))
     pairs = q.numeric_trade_off_curve(signal, [math.sqrt(0.05) / 0.5, 1.0, 2.0], QUARTER_PI)
     assert len(pairs) == 3
@@ -696,7 +698,7 @@ def reference_probe_pair(route, probe, phi):
     lowest = math.ceil(probe.grid.x_min / (t * h))
     first = min(lowest, 1 - n)
     last = max(math.floor(probe.grid.x_max / (t * h)) + n - 1, n - 1)
-    kappa = qndsim.chain._kernel_samples(probe, t, h, first, last - first + 1)
+    kappa = qndsim.kernel._kernel_samples(probe, t, h, first, last - first + 1)
     kappa_hat = np.fft.fft(kappa[lowest - first :], 1 << (last - lowest).bit_length())
     kappa_hat *= kappa_hat.conj()
     r = np.fft.ifft(kappa_hat)[:n].real * (t * h)
